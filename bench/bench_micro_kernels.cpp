@@ -10,12 +10,17 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "cluster/kmeans.hpp"
 #include "common.hpp"
 #include "core/projection.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
@@ -71,6 +76,46 @@ void BM_AchlioptasProjection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AchlioptasProjection)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+// --- ingest ----------------------------------------------------------------
+// Parse and CSR-build throughput of the in-memory reader, on bench_graph()
+// in write_edge_list's text form. Report only: no gate reads these rows.
+
+void BM_ScanEdgeList(benchmark::State& state) {
+  std::ostringstream text;
+  sgp::graph::write_edge_list(bench_graph(), text);
+  const std::string edges = text.str();
+  std::size_t lines = 0;
+  for (auto _ : state) {
+    std::istringstream in(edges);
+    const auto stats = sgp::graph::scan_edge_list(
+        in, sgp::graph::IdPolicy::kPreserve,
+        sgp::graph::kDefaultMaxPreservedNodeId,
+        [](std::uint64_t u, std::uint64_t v) {
+          benchmark::DoNotOptimize(u + v);
+        });
+    lines = stats.lines;
+  }
+  state.counters["lines/s"] =
+      benchmark::Counter(static_cast<double>(lines),
+                         benchmark::Counter::kIsIterationInvariantRate);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_ScanEdgeList)->Unit(benchmark::kMillisecond);
+
+void BM_GraphFromEdges(benchmark::State& state) {
+  const sgp::graph::Graph& g = bench_graph();
+  const std::vector<sgp::graph::Edge> edges = g.edges();
+  for (auto _ : state) {
+    auto built = sgp::graph::Graph::from_edges(g.num_nodes(), edges);
+    benchmark::DoNotOptimize(built.neighbors(0).data());
+  }
+  state.counters["edges/s"] = benchmark::Counter(
+      static_cast<double>(edges.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GraphFromEdges)->Unit(benchmark::kMillisecond);
 
 // --- counter-RNG / fused-publish kernels ----------------------------------
 

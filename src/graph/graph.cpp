@@ -2,38 +2,71 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
+#include <utility>
 
+#include "graph/csr_rows.hpp"
 #include "util/check.hpp"
 
 namespace sgp::graph {
 
+namespace detail {
+
+CsrRows build_csr_rows(std::span<const Edge> edges, std::size_t row_begin,
+                       std::size_t row_end) {
+  const std::size_t rows = row_end - row_begin;
+  const auto in_range = [&](std::uint32_t node) {
+    return node >= row_begin && node < row_end;
+  };
+  CsrRows out;
+  // Row lengths; the prefix sum turns offsets[r] into the end of row r and
+  // offsets[rows] into the total.
+  out.offsets.assign(rows + 1, 0);
+  for (const Edge& e : edges) {
+    if (in_range(e.u)) ++out.offsets[e.u - row_begin];
+    if (in_range(e.v)) ++out.offsets[e.v - row_begin];
+  }
+  std::partial_sum(out.offsets.begin(), out.offsets.end(),
+                   out.offsets.begin());
+
+  // Filling each row from its end leaves offsets[r] at the start of row r.
+  out.adjacency.resize(out.offsets.back());
+  for (const Edge& e : edges) {
+    if (in_range(e.u)) out.adjacency[--out.offsets[e.u - row_begin]] = e.v;
+    if (in_range(e.v)) out.adjacency[--out.offsets[e.v - row_begin]] = e.u;
+  }
+
+  // Sort and merge each row, closing the gaps duplicates leave behind.
+  std::uint32_t* const adj = out.adjacency.data();
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::uint32_t* const first = adj + out.offsets[r];
+    std::uint32_t* last = adj + out.offsets[r + 1];
+    std::sort(first, last);
+    last = std::unique(first, last);
+    out.offsets[r] = kept;
+    if (adj + kept != first) std::copy(first, last, adj + kept);
+    kept += static_cast<std::size_t>(last - first);
+  }
+  out.offsets[rows] = kept;
+  out.adjacency.resize(kept);
+  out.adjacency.shrink_to_fit();
+  return out;
+}
+
+}  // namespace detail
+
 Graph Graph::from_edges(std::size_t num_nodes, std::span<const Edge> edges) {
-  // Normalize to both directions, validate, sort, dedup.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> directed;
-  directed.reserve(edges.size() * 2);
   for (const Edge& e : edges) {
     util::require(e.u < num_nodes && e.v < num_nodes,
                   "from_edges: endpoint out of range");
     util::require(e.u != e.v, "from_edges: self loops are not allowed");
-    directed.emplace_back(e.u, e.v);
-    directed.emplace_back(e.v, e.u);
   }
-  std::sort(directed.begin(), directed.end());
-  directed.erase(std::unique(directed.begin(), directed.end()),
-                 directed.end());
-
+  detail::CsrRows rows = detail::build_csr_rows(edges, 0, num_nodes);
   Graph g;
-  g.offsets_.assign(num_nodes + 1, 0);
-  g.adjacency_.reserve(directed.size());
-  std::size_t i = 0;
-  for (std::size_t u = 0; u < num_nodes; ++u) {
-    while (i < directed.size() && directed[i].first == u) {
-      g.adjacency_.push_back(directed[i].second);
-      ++i;
-    }
-    g.offsets_[u + 1] = g.adjacency_.size();
-  }
+  g.offsets_ = std::move(rows.offsets);
+  g.adjacency_ = std::move(rows.adjacency);
   return g;
 }
 
@@ -67,15 +100,13 @@ std::vector<Edge> Graph::edges() const {
 }
 
 linalg::CsrMatrix Graph::adjacency_matrix() const {
-  std::vector<linalg::Triplet> trips;
-  trips.reserve(adjacency_.size());
-  for (std::size_t u = 0; u < num_nodes(); ++u) {
-    for (std::uint32_t v : neighbors(u)) {
-      trips.push_back({static_cast<std::uint32_t>(u), v, 1.0});
-    }
-  }
-  return linalg::CsrMatrix::from_triplets(num_nodes(), num_nodes(),
-                                          std::move(trips));
+  // A default-constructed graph has no offsets at all; zero rows still need
+  // the one row_ptr entry.
+  std::vector<std::size_t> row_ptr =
+      offsets_.empty() ? std::vector<std::size_t>{0} : offsets_;
+  return linalg::CsrMatrix::from_sorted_rows(
+      num_nodes(), num_nodes(), std::move(row_ptr), adjacency_,
+      std::vector<double>(adjacency_.size(), 1.0));
 }
 
 double Graph::average_degree() const {

@@ -1,6 +1,8 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,7 +20,30 @@
 namespace sgp::graph {
 namespace {
 
-constexpr const char* kLineWhitespace = " \t\r";
+/// Bytes requested from the stream per read(). The buffer counts toward the
+/// resident set of every reader, the sharded publisher's included, so it
+/// stays small; it grows only when one line is longer, since lines of any
+/// length are accepted.
+constexpr std::size_t kScanBufferBytes = 64 * 1024;
+
+/// Blank lines and the tail after the second id may hold only these.
+bool is_line_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Whitespace allowed before and between the ids: isspace() in the C
+/// locale, minus '\n', which never occurs inside a line.
+bool is_field_space(char c) {
+  return is_line_space(c) || c == '\v' || c == '\f';
+}
+
+/// Parses one unsigned decimal id after optional field whitespace. Returns
+/// the position past its digits, or nullptr when there are no digits, the
+/// id is signed (from_chars takes no sign for an unsigned type), or it
+/// overflows 64 bits.
+const char* parse_id(const char* p, const char* end, std::uint64_t& id) {
+  while (p != end && is_field_space(*p)) ++p;
+  const auto [next, ec] = std::from_chars(p, end, id);
+  return ec == std::errc{} ? next : nullptr;
+}
 
 [[noreturn]] void parse_fail(std::size_t line_no, const std::string& why) {
   throw util::ParseError("edge list: line " + std::to_string(line_no) + ": " +
@@ -36,17 +61,18 @@ EdgeScanStats scan_edge_list(
       std::min<std::uint64_t>(max_preserved_id, 0xFFFFFFFFULL);
 
   EdgeScanStats stats;
-  std::string line;
   std::size_t line_no = 0;
 
-  while (std::getline(in, line)) {
+  // One line, [first, last), without its '\n'.
+  const auto scan_line = [&](const char* first, const char* last) {
     ++line_no;
-    // Our own writer declares the node count in a comment; honor it under
-    // kPreserve so trailing isolated nodes survive a round trip.
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) {
+    const auto* hash = static_cast<const char*>(
+        std::memchr(first, '#', static_cast<std::size_t>(last - first)));
+    if (hash != nullptr) {
+      // Our own writer declares the node count in a comment; honor it under
+      // kPreserve so trailing isolated nodes survive a round trip.
       if (policy == IdPolicy::kPreserve) {
-        std::istringstream header(line.substr(hash + 1));
+        std::istringstream header(std::string(hash + 1, last));
         std::string word;
         std::size_t count = 0;
         // Matches "... : <N> nodes ..." from write_edge_list.
@@ -68,29 +94,24 @@ EdgeScanStats scan_edge_list(
           stats.declared_nodes = std::max(stats.declared_nodes, count);
         }
       }
-      line.erase(hash);
+      last = hash;
     }
-    if (line.find_first_not_of(kLineWhitespace) == std::string::npos) {
-      continue;  // blank or comment-only line
+    if (std::all_of(first, last, is_line_space)) {
+      return;  // blank or comment-only line
     }
-    std::istringstream fields(line);
-    std::uint64_t u_raw, v_raw;
-    if (!(fields >> u_raw)) {
-      parse_fail(line_no, "expected a numeric node id");
-    }
-    if (!(fields >> v_raw)) {
-      parse_fail(line_no, "expected two node ids, got one");
-    }
+    std::uint64_t u_raw = 0;
+    std::uint64_t v_raw = 0;
+    const char* p = parse_id(first, last, u_raw);
+    if (p == nullptr) parse_fail(line_no, "expected a numeric node id");
+    p = parse_id(p, last, v_raw);
+    if (p == nullptr) parse_fail(line_no, "expected two node ids, got one");
     // Reject anything after the second id that is not whitespace — a third
     // field, stray NUL bytes, or binary garbage all indicate a format the
     // caller did not intend to feed us.
-    fields.clear();
-    std::string trailing;
-    std::getline(fields, trailing);
-    if (trailing.find_first_not_of(kLineWhitespace) != std::string::npos) {
+    if (!std::all_of(p, last, is_line_space)) {
       parse_fail(line_no, "unexpected trailing content after the two ids");
     }
-    if (u_raw == v_raw) continue;  // drop self loop
+    if (u_raw == v_raw) return;  // drop self loop
     if (policy == IdPolicy::kPreserve) {
       const std::uint64_t hi = std::max(u_raw, v_raw);
       if (hi > id_cap) {
@@ -102,11 +123,36 @@ EdgeScanStats scan_edge_list(
     }
     ++stats.edge_records;
     on_edge(u_raw, v_raw);
+  };
+
+  // Lines are cut out of a fixed buffer refilled with read(); the unfinished
+  // line at the end of a fill moves to the front and the next read appends.
+  std::vector<char> buffer(kScanBufferBytes);
+  std::size_t kept = 0;  // bytes of an unfinished line at the buffer's front
+  const char* line = buffer.data();
+  for (;;) {
+    if (kept == buffer.size()) buffer.resize(2 * buffer.size());
+    in.read(buffer.data() + kept,
+            static_cast<std::streamsize>(buffer.size() - kept));
+    const char* const end =
+        buffer.data() + kept + static_cast<std::size_t>(in.gcount());
+    line = buffer.data();
+    // The kept prefix holds no '\n', so the search starts after it.
+    const char* search = buffer.data() + kept;
+    while (const auto* newline = static_cast<const char*>(std::memchr(
+               search, '\n', static_cast<std::size_t>(end - search)))) {
+      scan_line(line, newline);
+      line = search = newline + 1;
+    }
+    kept = static_cast<std::size_t>(end - line);
+    if (!in) break;  // end of stream (or a read error, reported below)
+    std::memmove(buffer.data(), line, kept);
   }
   if (in.bad()) {
     throw util::IoError("edge list: stream read error at line " +
                         std::to_string(line_no));
   }
+  if (kept > 0) scan_line(line, line + kept);  // last line, no '\n'
   stats.lines = line_no;
   // One bulk add per pass, not one per line — keeps the loop clean.
   static obs::Counter& lines_read = obs::counter(obs::names::kIoLinesRead);

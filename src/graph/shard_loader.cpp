@@ -4,6 +4,7 @@
 #include <fstream>
 #include <utility>
 
+#include "graph/csr_rows.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/scoped_timer.hpp"
 #include "util/check.hpp"
@@ -72,39 +73,31 @@ ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
     return it->second;
   };
 
-  // One (row, neighbor) pair per direction that lands in the shard; sorting
-  // the pair list then groups rows and orders each neighbor list, so the
-  // per-row unique() below reproduces Graph::from_edges' merged duplicates.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> incident;
+  // Every edge with an endpoint in the shard; build_csr_rows then
+  // orders and merges each row exactly as Graph::from_edges does.
+  std::vector<Edge> incident;
   std::ifstream in = open_or_throw(path_);
   const EdgeScanStats stats = scan_edge_list(
       in, policy_, max_preserved_id_,
       [&](std::uint64_t u_raw, std::uint64_t v_raw) {
         const std::uint32_t u = resolve(u_raw);
         const std::uint32_t v = resolve(v_raw);
-        if (u >= row_begin && u < row_end) incident.emplace_back(u, v);
-        if (v >= row_begin && v < row_end) incident.emplace_back(v, u);
+        if ((u >= row_begin && u < row_end) ||
+            (v >= row_begin && v < row_end)) {
+          incident.push_back({u, v});
+        }
       });
   if (stats.edge_records != edge_records_) {
     throw util::IoError("shard loader: " + path_ +
                         " changed since construction (edge count drifted)");
   }
-  std::sort(incident.begin(), incident.end());
-  incident.erase(std::unique(incident.begin(), incident.end()),
-                 incident.end());
 
+  detail::CsrRows rows = detail::build_csr_rows(incident, row_begin, row_end);
   ShardRows shard;
   shard.row_begin = row_begin;
   shard.row_end = row_end;
-  shard.offsets.assign(row_end - row_begin + 1, 0);
-  shard.adjacency.reserve(incident.size());
-  for (const auto& [row, neighbor] : incident) {
-    ++shard.offsets[row - row_begin + 1];
-    shard.adjacency.push_back(neighbor);
-  }
-  for (std::size_t r = 1; r < shard.offsets.size(); ++r) {
-    shard.offsets[r] += shard.offsets[r - 1];
-  }
+  shard.offsets = std::move(rows.offsets);
+  shard.adjacency = std::move(rows.adjacency);
   return shard;
 }
 

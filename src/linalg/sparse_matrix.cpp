@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
@@ -42,6 +43,35 @@ CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
     }
     m.row_ptr_[r + 1] = m.col_idx_.size();
   }
+  return m;
+}
+
+CsrMatrix CsrMatrix::from_sorted_rows(std::size_t rows, std::size_t cols,
+                                      std::vector<std::size_t> row_ptr,
+                                      std::vector<std::uint32_t> col_idx,
+                                      std::vector<double> values) {
+  util::require(!row_ptr.empty() && row_ptr.size() - 1 == rows,
+                "from_sorted_rows: row_ptr must have rows + 1 entries");
+  util::require(row_ptr.front() == 0 && row_ptr.back() == col_idx.size(),
+                "from_sorted_rows: row_ptr must run from 0 to nnz");
+  util::require(std::is_sorted(row_ptr.begin(), row_ptr.end()),
+                "from_sorted_rows: row_ptr must be non-decreasing");
+  util::require(values.size() == col_idx.size(),
+                "from_sorted_rows: values must align with col_idx");
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      util::require(col_idx[k] < cols,
+                    "from_sorted_rows: column outside matrix bounds");
+      util::require(k == row_ptr[r] || col_idx[k - 1] < col_idx[k],
+                    "from_sorted_rows: row columns must be strictly "
+                    "ascending");
+    }
+  }
+  CsrMatrix m;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
   return m;
 }
 

@@ -57,6 +57,16 @@ class CsrMatrix {
   static CsrMatrix from_triplets(std::size_t rows, std::size_t cols,
                                  std::vector<Triplet> triplets);
 
+  /// Adopts CSR arrays that are already in canonical form: `row_ptr` has
+  /// rows + 1 entries, runs from 0 to nnz and never decreases; each row's
+  /// columns are strictly ascending and < cols; `values` aligns with
+  /// `col_idx`. All of it is checked in O(rows + nnz) — a violation throws
+  /// util::PreconditionError — and nothing is sorted or merged.
+  static CsrMatrix from_sorted_rows(std::size_t rows, std::size_t cols,
+                                    std::vector<std::size_t> row_ptr,
+                                    std::vector<std::uint32_t> col_idx,
+                                    std::vector<double> values);
+
   [[nodiscard]] std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nnz() const { return values_.size(); }

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
@@ -97,7 +98,18 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::size_t hi = std::min(end, lo + chunk);
     futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
   }
-  for (auto& f : futures) f.get();
+  // Wait for every chunk before rethrowing the first failure: the tasks
+  // hold `body` by reference, so returning early would let queued chunks
+  // call it after the caller has destroyed it.
+  std::exception_ptr error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

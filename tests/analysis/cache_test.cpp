@@ -123,7 +123,8 @@ TEST_F(CacheTest, ReportsAreIdenticalAcrossThreadCounts) {
 
 TEST_F(CacheTest, VersionKeyChangeInvalidatesEverything) {
   LintOptions opt = options();
-  run_lint(opt);
+  const LintResult cold = run_lint(opt);
+  EXPECT_EQ(cold.files_relinted, cold.files_scanned);
   // A different rule selection is a different engine configuration: the
   // cache must go cold rather than serve findings from other rules.
   opt.rules = {"R1"};
@@ -133,7 +134,8 @@ TEST_F(CacheTest, VersionKeyChangeInvalidatesEverything) {
 
 TEST_F(CacheTest, CorruptCacheFileLoadsCold) {
   const LintOptions opt = options();
-  run_lint(opt);
+  const LintResult cold = run_lint(opt);
+  EXPECT_EQ(cold.files_relinted, cold.files_scanned);
   {
     std::ofstream out(cache_path_, std::ios::binary | std::ios::trunc);
     out << "{not json";
@@ -148,7 +150,8 @@ TEST_F(CacheTest, CorruptCacheFileLoadsCold) {
 
 TEST_F(CacheTest, VanishedFilesDropOutOfTheCache) {
   const LintOptions opt = options();
-  run_lint(opt);
+  const LintResult before = run_lint(opt);
+  EXPECT_EQ(before.files_scanned, 22u);
   fs::remove(root_ / "src/core/violations.cpp");
   const LintResult after = run_lint(opt);
   EXPECT_EQ(after.files_scanned, 21u);

@@ -8,6 +8,8 @@
 // id, so a typo'd CI invocation cannot silently lint nothing.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,9 +23,14 @@ struct CliResult {
   std::string stderr_text;
 };
 
+// ctest runs each case as its own process, in parallel, so every call
+// captures stderr to a file named after its process and its call count.
 CliResult run_lint_cli(const std::string& args) {
+  static int calls = 0;
   const std::string err_path =
-      (std::filesystem::path(::testing::TempDir()) / "sgp_lint_cli_err.txt")
+      (std::filesystem::path(::testing::TempDir()) /
+       ("sgp_lint_cli_err_" + std::to_string(::getpid()) + "_" +
+        std::to_string(++calls) + ".txt"))
           .string();
   const std::string cmd = std::string(SGP_LINT_BIN) + " " + args + " 2> '" +
                           err_path + "' > /dev/null";

@@ -168,7 +168,7 @@ TEST(BaselineTest, RoundTripsThroughDisk) {
 TEST(BaselineTest, KeyIgnoresLineNumbers) {
   // Edits above a grandfathered site shift its line; the baseline must
   // keep suppressing it.
-  Finding f{"R1", "src/x.cpp", 10, "mt19937", "msg"};
+  Finding f{"R1", "src/x.cpp", 10, "mt19937", "msg", ""};
   const Baseline baseline = Baseline::from_findings({f});
   f.line = 99;
   std::vector<Finding> shifted = {f};
@@ -177,7 +177,7 @@ TEST(BaselineTest, KeyIgnoresLineNumbers) {
 }
 
 TEST(BaselineTest, CountsCapSuppression) {
-  const Finding f{"R1", "src/x.cpp", 1, "mt19937", "msg"};
+  const Finding f{"R1", "src/x.cpp", 1, "mt19937", "msg", ""};
   const Baseline baseline = Baseline::from_findings({f});  // count = 1
   std::vector<Finding> two = {f, f};
   EXPECT_EQ(baseline.apply(two), 1u);
@@ -189,7 +189,7 @@ TEST(BaselineTest, EmptyBaselineSerializesAndSuppressesNothing) {
   EXPECT_TRUE(empty.empty());
   const util::JsonValue doc = util::parse_json(empty.to_json());
   EXPECT_TRUE(doc.find("entries")->as_array().empty());
-  std::vector<Finding> fs = {{"R1", "src/x.cpp", 1, "mt19937", "msg"}};
+  std::vector<Finding> fs = {{"R1", "src/x.cpp", 1, "mt19937", "msg", ""}};
   EXPECT_EQ(empty.apply(fs), 0u);
   EXPECT_EQ(fs.size(), 1u);
 }

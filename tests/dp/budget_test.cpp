@@ -25,10 +25,10 @@ TEST(BudgetSplitTest, BothPartsAreValidBudgets) {
 
 TEST(BudgetSplitTest, RejectsDegenerateShares) {
   const PrivacyParams total{1.0, 1e-6};
-  EXPECT_THROW(split_budget(total, 0.0), std::invalid_argument);
-  EXPECT_THROW(split_budget(total, 1.0), std::invalid_argument);
-  EXPECT_THROW(split_budget(total, -0.5), std::invalid_argument);
-  EXPECT_THROW(split_budget({-1.0, 1e-6}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)split_budget(total, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)split_budget(total, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)split_budget(total, -0.5), std::invalid_argument);
+  EXPECT_THROW((void)split_budget({-1.0, 1e-6}, 0.5), std::invalid_argument);
 }
 
 TEST(DeltaSplitTest, PartsSumExactlyToTheTotal) {
@@ -39,16 +39,16 @@ TEST(DeltaSplitTest, PartsSumExactlyToTheTotal) {
 }
 
 TEST(DeltaSplitTest, RejectsDegenerateArguments) {
-  EXPECT_THROW(split_delta(0.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(split_delta(1e-6, 0.0), std::invalid_argument);
-  EXPECT_THROW(split_delta(1e-6, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)split_delta(0.0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)split_delta(1e-6, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)split_delta(1e-6, 1.0), std::invalid_argument);
 }
 
 TEST(NodeLevelEpsilonTest, GroupPrivacyDividesByTheDegreeCap) {
   EXPECT_DOUBLE_EQ(node_level_edge_epsilon(4.0, 16), 0.25);
   EXPECT_DOUBLE_EQ(node_level_edge_epsilon(1.0, 1), 1.0);
-  EXPECT_THROW(node_level_edge_epsilon(0.0, 16), std::invalid_argument);
-  EXPECT_THROW(node_level_edge_epsilon(1.0, 0), std::invalid_argument);
+  EXPECT_THROW((void)node_level_edge_epsilon(0.0, 16), std::invalid_argument);
+  EXPECT_THROW((void)node_level_edge_epsilon(1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

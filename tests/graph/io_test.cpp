@@ -6,8 +6,10 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "graph/generators.hpp"
+#include "util/errors.hpp"
 
 namespace sgp::graph {
 namespace {
@@ -57,6 +59,34 @@ TEST(IoTest, MalformedLineThrows) {
 TEST(IoTest, TooManyFieldsThrows) {
   std::istringstream in("0 1 2\n");
   EXPECT_THROW(read_edge_list(in), std::runtime_error);
+}
+
+TEST(IoTest, SignedIdsRejectedUnderBothPolicies) {
+  // operator>> used to accept a sign and wrap it: "-1" read as 2^64 - 1
+  // (under kCompact the same node as 18446744073709551615) and "1+2" as
+  // the edge (1, 2).
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"-1 2\n", "line 1: expected a numeric node id"},
+      {"+1 2\n", "line 1: expected a numeric node id"},
+      {"1 -2\n", "line 1: expected two node ids, got one"},
+      {"1+2\n", "line 1: expected two node ids, got one"},
+      {"0 1\n3 +4\n", "line 2: expected two node ids, got one"},
+  };
+  for (const auto& c : cases) {
+    for (const IdPolicy policy : {IdPolicy::kCompact, IdPolicy::kPreserve}) {
+      std::istringstream in(c.text);
+      try {
+        (void)read_edge_list(in, policy);
+        ADD_FAILURE() << "accepted " << c.text;
+      } catch (const util::ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(IoTest, RoundTripPreservesStructure) {

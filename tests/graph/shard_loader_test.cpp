@@ -120,6 +120,16 @@ TEST_F(ShardLoaderTest, MalformedLinesStillRejected) {
   EXPECT_THROW((void)EdgeListShardReader(path_), util::ParseError);
 }
 
+TEST_F(ShardLoaderTest, SignedIdsRejectedUnderBothPolicies) {
+  for (const char* content : {"-1 2\n", "1 -2\n", "1+2\n", "0 1\n+3 4\n"}) {
+    write(content);
+    for (const IdPolicy policy : {IdPolicy::kCompact, IdPolicy::kPreserve}) {
+      EXPECT_THROW((void)EdgeListShardReader(path_, policy), util::ParseError)
+          << content;
+    }
+  }
+}
+
 TEST_F(ShardLoaderTest, ShardReadFaultPointFires) {
   write("0 1\n");
   const EdgeListShardReader reader(path_);

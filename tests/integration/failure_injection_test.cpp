@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "../graph/edge_list_corpora.hpp"
 #include "core/serialization.hpp"
 #include "graph/io.hpp"
 #include "linalg/lanczos.hpp"
@@ -42,34 +43,13 @@ TEST_P(EdgeListFuzz, ThrowsOrParsesNeverCrashes) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Garbage, EdgeListFuzz,
-    testing::Values("", "\n\n\n", "0", "0 1 2", "a b", "0 a",
-                    "99999999999999999999999 1",
-                    "-1 2", "0 1\n1", "0 1\nxyzzy", "# only\n# comments",
-                    "0 0\n0 0\n0 0", "1 2 # ok\n3", "\t \t", "0\t1\n2\t3"));
+INSTANTIATE_TEST_SUITE_P(Garbage, EdgeListFuzz,
+                         testing::ValuesIn(
+                             graph::corpora::garbage_edge_lists()));
 
-INSTANTIATE_TEST_SUITE_P(
-    HostileInputs, EdgeListFuzz,
-    testing::Values(
-        // One hostile line asking for a multi-GB node array.
-        std::string("4294967295 1"),            // 2^32 - 1 (max uint32)
-        std::string("4294967296 1"),            // 2^32 (overflows uint32)
-        std::string("2147483648 0"),            // 2^31 (above preserve cap)
-        std::string("18446744073709551615 1"),  // uint64 max
-        std::string("0 99999999999999999999"),  // overflows uint64 itself
-        // Embedded NUL bytes (mid-line and a NUL-only line).
-        std::string("0 1\0 2\n3 4\n", 12),
-        std::string("\0\0\n0 1\n", 7),
-        // CRLF line endings from a Windows-exported edge list.
-        std::string("0 1\r\n2 3\r\n"),
-        std::string("0 1\r\r\n"),
-        // Headers that lie about the node count (kPreserve trusts them).
-        std::string("# sgp edge list: 99999999999 nodes, 1 edges\n0 1\n"),
-        std::string("# sgp edge list: 4294967297 nodes, 1 edges\n0 1\n"),
-        std::string("# sgp edge list: -7 nodes, 1 edges\n0 1\n"),
-        std::string("# sgp edge list: twelve nodes, 1 edges\n0 1\n"),
-        std::string("0 1\n# sgp edge list: 2147483650 nodes, 0 edges\n")));
+INSTANTIATE_TEST_SUITE_P(HostileInputs, EdgeListFuzz,
+                         testing::ValuesIn(
+                             graph::corpora::hostile_edge_lists()));
 
 TEST(EdgeListHardeningTest, PreservePolicyRejectsAbsurdIdWithParseError) {
   std::istringstream in("3000000000 1\n");  // > 2^31 default cap

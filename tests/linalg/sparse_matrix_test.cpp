@@ -43,6 +43,42 @@ TEST(CsrTest, OutOfBoundsTripletThrows) {
                std::invalid_argument);
 }
 
+TEST(CsrTest, FromSortedRowsAdoptsCanonicalArrays) {
+  const auto m = CsrMatrix::from_sorted_rows(3, 3, {0, 2, 2, 4}, {0, 2, 0, 1},
+                                             {1.0, 2.0, 3.0, 4.0});
+  const auto want = small();
+  ASSERT_EQ(m.rows(), want.rows());
+  ASSERT_EQ(m.nnz(), want.nnz());
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    EXPECT_TRUE(std::ranges::equal(m.row_indices(r), want.row_indices(r)));
+    EXPECT_TRUE(std::ranges::equal(m.row_values(r), want.row_values(r)));
+  }
+  EXPECT_EQ(CsrMatrix::from_sorted_rows(0, 0, {0}, {}, {}).rows(), 0u);
+}
+
+TEST(CsrTest, FromSortedRowsRejectsNonCanonicalArrays) {
+  // row_ptr that decreases, or that does not run from 0 to nnz.
+  EXPECT_THROW(CsrMatrix::from_sorted_rows(2, 3, {0, 2, 1}, {0}, {1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      CsrMatrix::from_sorted_rows(3, 3, {0, 2, 1, 2}, {0, 1}, {1.0, 1.0}),
+      std::invalid_argument);
+  EXPECT_THROW(CsrMatrix::from_sorted_rows(1, 3, {1, 2}, {0, 1}, {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(CsrMatrix::from_sorted_rows(2, 3, {0, 1}, {0}, {1.0}),
+               std::invalid_argument);
+  // Unsorted, repeated, and out-of-range columns.
+  EXPECT_THROW(CsrMatrix::from_sorted_rows(1, 3, {0, 2}, {2, 0}, {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(CsrMatrix::from_sorted_rows(1, 3, {0, 2}, {1, 1}, {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(CsrMatrix::from_sorted_rows(1, 3, {0, 1}, {3}, {1.0}),
+               std::invalid_argument);
+  // Values that do not align with the columns.
+  EXPECT_THROW(CsrMatrix::from_sorted_rows(1, 3, {0, 1}, {0}, {1.0, 2.0}),
+               std::invalid_argument);
+}
+
 TEST(CsrTest, DuplicatesAreSummed) {
   const auto m =
       CsrMatrix::from_triplets(1, 1, {{0, 0, 1.5}, {0, 0, 2.5}});

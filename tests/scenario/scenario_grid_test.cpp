@@ -7,6 +7,7 @@
 // configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -72,68 +73,81 @@ TEST(ScenarioGrid, GridIsStableAcrossCalls) {
   }
 }
 
-// The heavyweight per-cell sweep: one test so the shared setup (nothing) and
-// the per-cell ledger/accountant plumbing stay in one auditable loop.
-TEST(ScenarioGrid, EveryCellChargesOnceValidatesAndReproduces) {
+// The heavyweight per-cell check, one case per grid cell so `ctest -j`
+// runs the cells in parallel. The parameter is the cell label, which is
+// also the case's ctest name; each cell charges its own ledger file.
+std::vector<std::string> grid_labels() {
+  std::vector<std::string> labels;
+  for (const auto& cell : standard_grid()) labels.push_back(cell.label);
+  return labels;
+}
+
+class ScenarioGridCell : public testing::TestWithParam<std::string> {};
+
+TEST_P(ScenarioGridCell, ChargesOnceValidatesAndReproduces) {
   const auto grid = standard_grid();
-  const std::string ledger_path =
-      testing::TempDir() + "/sgp_scenario_grid.ledger";
+  const std::string& label = GetParam();
+  const auto it = std::find_if(grid.begin(), grid.end(),
+                               [&](const auto& c) { return c.label == label; });
+  ASSERT_NE(it, grid.end());
+  const ScenarioCell& cell = *it;
+  const std::string ledger_path = testing::TempDir() +
+                                  "/sgp_scenario_grid_" +
+                                  std::to_string(cell.index) + ".ledger";
 
-  for (const auto& cell : grid) {
-    SCOPED_TRACE(cell.label);
-    const auto planted =
-        make_scenario_graph(cell.generator, cell.seed);
-    ASSERT_EQ(planted.graph.num_nodes(), kScenarioNodes);
+  const auto planted = make_scenario_graph(cell.generator, cell.seed);
+  ASSERT_EQ(planted.graph.num_nodes(), kScenarioNodes);
 
-    std::remove(ledger_path.c_str());
-    BudgetLedger ledger(ledger_path);
-    dp::RdpAccountant accountant;
-    MechanismOptions options = cell_options(cell);
-    options.ledger = &ledger;
-    options.accountant = &accountant;
+  std::remove(ledger_path.c_str());
+  BudgetLedger ledger(ledger_path);
+  dp::RdpAccountant accountant;
+  MechanismOptions options = cell_options(cell);
+  options.ledger = &ledger;
+  options.accountant = &accountant;
 
-    const auto mechanism = make_mechanism(cell.mechanism);
-    const MechanismRelease release =
-        mechanism->publish(planted.graph, options);
+  const auto mechanism = make_mechanism(cell.mechanism);
+  const MechanismRelease release = mechanism->publish(planted.graph, options);
 
-    // Budget charged exactly once, with the cell's exact (ε, δ).
-    ASSERT_EQ(ledger.size(), 1u);
-    const BudgetLedger::Record& record = ledger.records().front();
-    EXPECT_EQ(record.index, 1u);
-    EXPECT_DOUBLE_EQ(record.epsilon, cell.budget.epsilon);
-    EXPECT_DOUBLE_EQ(record.delta, cell.budget.delta);
-    EXPECT_GT(record.sigma, 0.0);
-    EXPECT_GT(record.sensitivity, 0.0);
+  // Budget charged exactly once, with the cell's exact (ε, δ).
+  ASSERT_EQ(ledger.size(), 1u);
+  const BudgetLedger::Record& record = ledger.records().front();
+  EXPECT_EQ(record.index, 1u);
+  EXPECT_DOUBLE_EQ(record.epsilon, cell.budget.epsilon);
+  EXPECT_DOUBLE_EQ(record.delta, cell.budget.delta);
+  EXPECT_GT(record.sigma, 0.0);
+  EXPECT_GT(record.sensitivity, 0.0);
 
-    // The accountant saw the release's composition (projection: one
-    // Gaussian; community mechanisms: two Laplace phases).
-    const std::size_t expected_releases =
-        cell.mechanism == MechanismKind::kProjection ? 1u : 2u;
-    EXPECT_EQ(accountant.num_releases(), expected_releases);
-    const dp::PrivacyParams accounted = accountant.to_dp(cell.budget.delta);
-    EXPECT_GT(accounted.epsilon, 0.0);
+  // The accountant saw the release's composition (projection: one
+  // Gaussian; community mechanisms: two Laplace phases).
+  const std::size_t expected_releases =
+      cell.mechanism == MechanismKind::kProjection ? 1u : 2u;
+  EXPECT_EQ(accountant.num_releases(), expected_releases);
+  const dp::PrivacyParams accounted = accountant.to_dp(cell.budget.delta);
+  EXPECT_GT(accounted.epsilon, 0.0);
 
-    // Structural validity.
-    EXPECT_TRUE(release.validate());
-    EXPECT_EQ(release.kind, cell.mechanism);
-    EXPECT_EQ(release.num_nodes, kScenarioNodes);
+  // Structural validity.
+  EXPECT_TRUE(release.validate());
+  EXPECT_EQ(release.kind, cell.mechanism);
+  EXPECT_EQ(release.num_nodes, kScenarioNodes);
 
-    // Task scores live in [0, 1], bounded by a sane reference.
-    const double score = run_task(release, cell.task, planted, cell.seed);
-    EXPECT_GE(score, 0.0);
-    EXPECT_LE(score, 1.0);
-    const double reference = reference_score(cell.task, planted, cell.seed);
-    EXPECT_GE(reference, 0.0);
-    EXPECT_LE(reference, 1.0);
+  // Task scores live in [0, 1], bounded by a sane reference.
+  const double score = run_task(release, cell.task, planted, cell.seed);
+  EXPECT_GE(score, 0.0);
+  EXPECT_LE(score, 1.0);
+  const double reference = reference_score(cell.task, planted, cell.seed);
+  EXPECT_GE(reference, 0.0);
+  EXPECT_LE(reference, 1.0);
 
-    // Seed determinism: a second publish under the same cell seed is
-    // byte-identical (the ledger/accountant are not part of the bytes).
-    const MechanismRelease again =
-        mechanism->publish(planted.graph, cell_options(cell));
-    EXPECT_EQ(release_fingerprint(release), release_fingerprint(again));
-  }
+  // Seed determinism: a second publish under the same cell seed is
+  // byte-identical (the ledger/accountant are not part of the bytes).
+  const MechanismRelease again =
+      mechanism->publish(planted.graph, cell_options(cell));
+  EXPECT_EQ(release_fingerprint(release), release_fingerprint(again));
   std::remove(ledger_path.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(Standard, ScenarioGridCell,
+                         testing::ValuesIn(grid_labels()));
 
 TEST(ScenarioGrid, PublishWorksWithoutLedgerOrAccountant) {
   const auto grid = standard_grid();

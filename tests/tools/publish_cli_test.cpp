@@ -1,0 +1,95 @@
+// Usage contract of sgp_publish's out-of-core flags. --threads, --no-resume
+// and --io-attempts configure the shard loop, so an in-memory or
+// --streaming publish must refuse them with exit 2 (usage) and name the
+// flags that select out-of-core publishing, instead of ignoring them.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+namespace {
+
+// ctest runs each case as its own process, in parallel; temporary files must
+// be per-process or concurrent cases clobber each other's captures.
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::path(::testing::TempDir()) /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+struct CliResult {
+  int exit_code = -1;
+  std::string stderr_text;
+};
+
+class PublishCliTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    std::ofstream out(edges_, std::ios::binary);
+    out << "0 1\n1 2\n2 3\n3 0\n0 2\n";
+  }
+  void TearDown() override {
+    std::filesystem::remove(edges_);
+    std::filesystem::remove(release_);
+  }
+
+  CliResult publish(const std::string& flags) const {
+    const std::string err_path = temp_path("sgp_publish_cli_err.txt");
+    const std::string cmd = std::string(SGP_PUBLISH_BIN) + " --edges '" +
+                            edges_ + "' --out '" + release_ +
+                            "' --dim 2 --epsilon 1 " + flags + " 2> '" +
+                            err_path + "' > /dev/null";
+    const int status = std::system(cmd.c_str());
+    CliResult result;
+    if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+    std::ifstream in(err_path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    result.stderr_text = buf.str();
+    std::filesystem::remove(err_path);
+    return result;
+  }
+
+  std::string edges_ = temp_path("sgp_publish_cli.edges");
+  std::string release_ = temp_path("sgp_publish_cli.bin");
+};
+
+TEST_F(PublishCliTest, InMemoryRejectsShardOnlyFlags) {
+  for (const char* flag : {"--threads 2", "--no-resume", "--io-attempts 3"}) {
+    for (const char* mode : {"", "--streaming"}) {
+      const CliResult result =
+          publish(std::string(flag) + " " + std::string(mode));
+      EXPECT_EQ(result.exit_code, 2) << flag << " " << mode;
+      EXPECT_NE(result.stderr_text.find("--shard-rows"), std::string::npos)
+          << result.stderr_text;
+      EXPECT_NE(result.stderr_text.find("--max-memory-mb"), std::string::npos)
+          << result.stderr_text;
+      EXPECT_NE(result.stderr_text.find("--workers"), std::string::npos)
+          << result.stderr_text;
+      EXPECT_FALSE(std::filesystem::exists(release_));
+    }
+  }
+}
+
+TEST_F(PublishCliTest, ShardedPathStillTakesThem) {
+  const CliResult result =
+      publish("--shard-rows 2 --threads 2 --no-resume --io-attempts 2");
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+  EXPECT_TRUE(std::filesystem::exists(release_));
+}
+
+TEST_F(PublishCliTest, InMemoryWithoutThemStillPublishes) {
+  for (const char* mode : {"", "--streaming"}) {
+    const CliResult result = publish(mode);
+    EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+    EXPECT_TRUE(std::filesystem::exists(release_));
+    std::filesystem::remove(release_);
+  }
+}
+
+}  // namespace

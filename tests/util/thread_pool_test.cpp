@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sgp::util {
@@ -88,6 +90,24 @@ TEST(ParallelForTest, ExceptionRethrownOnCaller) {
                    },
                    16),
                std::runtime_error);
+}
+
+TEST(ParallelForTest, FailedChunkStillWaitsForTheOthers) {
+  // 16 chunks of 4: chunk 0 throws at once, the other 15 are still asleep.
+  // parallel_for must not return (and free the caller's body) before they
+  // finish.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(
+                   pool, 0, 64,
+                   [&](std::size_t lo, std::size_t) {
+                     if (lo == 0) throw std::runtime_error("chunk failed");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     finished.fetch_add(1);
+                   },
+                   4),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 15);
 }
 
 TEST(ParallelForTest, ExplicitPoolCoversWholeRange) {

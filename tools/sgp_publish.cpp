@@ -27,7 +27,9 @@
 // paths. A crash mid-shard leaves a `<out>.ckpt` checkpoint; rerunning the
 // same command resumes at the last complete shard (--no-resume starts
 // over). Combined with --ledger, a resumed run finishes the already-charged
-// release instead of charging a new one.
+// release instead of charging a new one. --threads, --no-resume and
+// --io-attempts only configure this out-of-core path; an in-memory or
+// --streaming publish rejects them with exit 2.
 //
 // With --ledger the release is charged against a crash-safe budget ledger:
 // repeated invocations against the same ledger accumulate spent (ε, δ), and
@@ -245,6 +247,17 @@ int main(int argc, char** argv) {
                    result.shards_resumed, opt.params.to_string().c_str(),
                    publish_timer.stop());
       return sgp::tools::kExitOk;
+    }
+
+    // These flags configure the shard loop only; refuse them here rather
+    // than let an in-memory or --streaming publish ignore them.
+    for (const char* flag : {"threads", "no-resume", "io-attempts"}) {
+      if (args.has(flag)) {
+        throw sgp::util::PreconditionError(
+            std::string("--") + flag +
+            " applies only to out-of-core publishing; add --shard-rows, "
+            "--max-memory-mb or --workers");
+      }
     }
 
     sgp::obs::ScopedTimer load_timer(sgp::obs::names::kToolLoadGraph);
