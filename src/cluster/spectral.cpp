@@ -61,7 +61,7 @@ linalg::DenseMatrix embedding_from_matrix(const linalg::CsrMatrix& a,
         << "); falling back to the dense eigensolver (O(n^3))";
   }
   const linalg::EigenResult full =
-      linalg::jacobi_eigen(a.to_dense(), linalg::EigenOrder::kDescending);
+      linalg::symmetric_eigen(a.to_dense(), linalg::EigenOrder::kDescending);
   return full.vectors.first_columns(dim);
 }
 

@@ -182,7 +182,7 @@ Partition noisy_partition(const graph::Graph& g, double sensitivity,
     }
   }
 
-  const linalg::EigenResult eig = linalg::jacobi_eigen(w);
+  const linalg::EigenResult eig = linalg::symmetric_eigen(w);
 
   // Largest gap between consecutive top eigenvalues picks k: signal
   // eigenvalues sit above the noise bulk, and the drop into the bulk is the

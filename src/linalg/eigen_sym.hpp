@@ -1,8 +1,8 @@
-// Dense symmetric eigensolvers:
-//  - cyclic Jacobi for general small symmetric matrices (Gram matrices,
-//    projected covariance), and
-//  - implicit-shift QL for symmetric tridiagonal matrices (the Rayleigh
-//    quotient matrices produced by Lanczos).
+// Dense symmetric eigensolvers, both built on one implicit-shift QL loop:
+//  - symmetric_eigen for general small symmetric matrices (Gram matrices,
+//    noisy adjacency matrices): Householder tridiagonalization, then QL;
+//  - tridiagonal_eigen for symmetric tridiagonal matrices (the Rayleigh
+//    quotient matrices produced by Lanczos): QL alone.
 //
 // Both return the full spectrum; callers truncate to top-k.
 #pragma once
@@ -26,13 +26,16 @@ enum class EigenOrder {
   kDescendingMagnitude  // |λ| largest first (spectra distortion metrics)
 };
 
-/// Cyclic Jacobi eigendecomposition of a symmetric matrix. Input must be
-/// square and symmetric (validated up to `sym_tol`). Converges to machine
-/// precision in a handful of sweeps for the small (k ≤ ~1000) matrices sgp
-/// uses. Throws std::runtime_error if `max_sweeps` is exceeded.
-EigenResult jacobi_eigen(const DenseMatrix& a,
-                         EigenOrder order = EigenOrder::kDescending,
-                         int max_sweeps = 64, double sym_tol = 1e-9);
+/// Eigendecomposition of a dense symmetric matrix: Householder reduction to
+/// tridiagonal form (the tred2 scheme), then the implicit QL loop of
+/// tridiagonal_eigen, accumulating the reduction's orthogonal basis. O(n³)
+/// with a small constant; sized for the m×m Gram matrices of svd_gram and
+/// the few-hundred-node noisy adjacency of the community mechanisms. Input
+/// must be square and symmetric (validated up to `sym_tol`, else
+/// std::invalid_argument). Throws util::ConvergenceError if QL stalls.
+EigenResult symmetric_eigen(const DenseMatrix& a,
+                            EigenOrder order = EigenOrder::kDescending,
+                            double sym_tol = 1e-9);
 
 /// Eigendecomposition of a symmetric tridiagonal matrix given its diagonal
 /// `diag` (size n) and off-diagonal `offdiag` (size n-1), via the implicit

@@ -18,28 +18,26 @@ SvdResult svd_gram(const DenseMatrix& a, std::size_t k) {
   util::require(n >= 1, "svd_gram: matrix must be non-empty");
 
   const DenseMatrix g = a.gram();  // m×m
-  const EigenResult eig = jacobi_eigen(g, EigenOrder::kDescending);
+  const EigenResult eig = symmetric_eigen(g, EigenOrder::kDescending);
 
   SvdResult out;
   out.singular_values.resize(k);
-  out.v = DenseMatrix(m, k);
-  out.u = DenseMatrix(n, k);
-
+  out.v = eig.vectors.first_columns(k);
   for (std::size_t j = 0; j < k; ++j) {
-    const double lambda = std::max(eig.values[j], 0.0);
-    const double singular_value = std::sqrt(lambda);
-    out.singular_values[j] = singular_value;
-    std::vector<double> vj(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      vj[i] = eig.vectors(i, j);
-      out.v(i, j) = vj[i];
-    }
+    out.singular_values[j] = std::sqrt(std::max(eig.values[j], 0.0));
+  }
+  // U = A·V·Σ⁻¹ in one row-parallel pass over A. Each entry is the same
+  // ascending dot product that a per-column multiply_vector(v_j) computes.
+  out.u = a.multiply(out.v);
+  for (std::size_t j = 0; j < k; ++j) {
+    const double singular_value = out.singular_values[j];
     if (singular_value > 1e-12 * (out.singular_values[0] + 1e-300)) {
-      const std::vector<double> uj = a.multiply_vector(vj);
       const double inv = 1.0 / singular_value;
-      for (std::size_t i = 0; i < n; ++i) out.u(i, j) = uj[i] * inv;
+      for (std::size_t i = 0; i < n; ++i) out.u(i, j) *= inv;
+    } else {
+      // Numerically zero: a null-space direction, left as a zero column.
+      for (std::size_t i = 0; i < n; ++i) out.u(i, j) = 0.0;
     }
-    // else: leave U column zero (null-space direction).
   }
   return out;
 }

@@ -21,12 +21,12 @@ namespace sgp::obs::names {
 // --- counters ------------------------------------------------------------
 inline constexpr std::string_view kBetweennessBfsSources =
     "betweenness.bfs_sources";
+inline constexpr std::string_view kEigenQlIterations = "eigen.ql_iterations";
+inline constexpr std::string_view kEigenSolves = "eigen.solves";
 inline constexpr std::string_view kFaultTrips = "fault.trips";
 inline constexpr std::string_view kIoEdgesRead = "io.edges_read";
 inline constexpr std::string_view kIoEdgesWritten = "io.edges_written";
 inline constexpr std::string_view kIoLinesRead = "io.lines_read";
-inline constexpr std::string_view kJacobiSolves = "jacobi.solves";
-inline constexpr std::string_view kJacobiSweeps = "jacobi.sweeps";
 inline constexpr std::string_view kKmeansIterations = "kmeans.iterations";
 inline constexpr std::string_view kKmeansReseeds = "kmeans.reseeds";
 inline constexpr std::string_view kKmeansRuns = "kmeans.runs";
@@ -143,6 +143,8 @@ inline constexpr std::string_view kAllNames[] = {
     kBetweennessApprox,
     kBetweennessBfsSources,
     kBetweennessExact,
+    kEigenQlIterations,
+    kEigenSolves,
     kFaultTrips,
     kGraphNodes,
     kIoEdgesRead,
@@ -153,8 +155,6 @@ inline constexpr std::string_view kAllNames[] = {
     kIoReadShard,
     kIoSaveRelease,
     kIoWriteEdges,
-    kJacobiSolves,
-    kJacobiSweeps,
     kKmeans,
     kKmeansIterations,
     kKmeansReseeds,

@@ -9,6 +9,7 @@
 
 #include "random/distributions.hpp"
 #include "random/rng.hpp"
+#include "reference_linalg.hpp"
 
 namespace sgp::linalg {
 namespace {
@@ -47,39 +48,39 @@ void expect_eigen_valid(const DenseMatrix& a, const EigenResult& res,
   }
 }
 
-TEST(JacobiTest, DiagonalMatrix) {
+TEST(SymmetricEigenTest, DiagonalMatrix) {
   DenseMatrix a(3, 3);
   a(0, 0) = 3;
   a(1, 1) = -1;
   a(2, 2) = 2;
-  const auto res = jacobi_eigen(a);
+  const auto res = symmetric_eigen(a);
   EXPECT_DOUBLE_EQ(res.values[0], 3);
   EXPECT_DOUBLE_EQ(res.values[1], 2);
   EXPECT_DOUBLE_EQ(res.values[2], -1);
 }
 
-TEST(JacobiTest, Known2x2) {
+TEST(SymmetricEigenTest, Known2x2) {
   // [[2,1],[1,2]] has eigenvalues 3 and 1.
   DenseMatrix a(2, 2, {2, 1, 1, 2});
-  const auto res = jacobi_eigen(a);
+  const auto res = symmetric_eigen(a);
   EXPECT_NEAR(res.values[0], 3.0, 1e-12);
   EXPECT_NEAR(res.values[1], 1.0, 1e-12);
   expect_eigen_valid(a, res, 1e-12);
 }
 
-TEST(JacobiTest, RandomSymmetricSatisfiesDefinition) {
+TEST(SymmetricEigenTest, RandomSymmetricSatisfiesDefinition) {
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const auto a = random_symmetric(12, seed);
-    const auto res = jacobi_eigen(a);
+    const auto res = symmetric_eigen(a);
     expect_eigen_valid(a, res);
     EXPECT_TRUE(std::is_sorted(res.values.begin(), res.values.end(),
                                std::greater<double>()));
   }
 }
 
-TEST(JacobiTest, TraceEqualsEigenvalueSum) {
+TEST(SymmetricEigenTest, TraceEqualsEigenvalueSum) {
   const auto a = random_symmetric(15, 9);
-  const auto res = jacobi_eigen(a);
+  const auto res = symmetric_eigen(a);
   double trace = 0, sum = 0;
   for (std::size_t i = 0; i < 15; ++i) {
     trace += a(i, i);
@@ -88,30 +89,64 @@ TEST(JacobiTest, TraceEqualsEigenvalueSum) {
   EXPECT_NEAR(trace, sum, 1e-9);
 }
 
-TEST(JacobiTest, MagnitudeOrdering) {
+TEST(SymmetricEigenTest, MagnitudeOrdering) {
   DenseMatrix a(2, 2);
   a(0, 0) = -5;
   a(1, 1) = 3;
-  const auto res = jacobi_eigen(a, EigenOrder::kDescendingMagnitude);
+  const auto res = symmetric_eigen(a, EigenOrder::kDescendingMagnitude);
   EXPECT_DOUBLE_EQ(res.values[0], -5);
   EXPECT_DOUBLE_EQ(res.values[1], 3);
 }
 
-TEST(JacobiTest, AsymmetricInputThrows) {
+TEST(SymmetricEigenTest, AsymmetricInputThrows) {
   DenseMatrix a(2, 2, {1, 2, 3, 4});
-  EXPECT_THROW(jacobi_eigen(a), std::invalid_argument);
+  EXPECT_THROW(symmetric_eigen(a), std::invalid_argument);
 }
 
-TEST(JacobiTest, NonSquareThrows) {
+TEST(SymmetricEigenTest, NonSquareThrows) {
   DenseMatrix a(2, 3);
-  EXPECT_THROW(jacobi_eigen(a), std::invalid_argument);
+  EXPECT_THROW(symmetric_eigen(a), std::invalid_argument);
 }
 
-TEST(JacobiTest, OneByOne) {
+TEST(SymmetricEigenTest, OneByOne) {
   DenseMatrix a(1, 1, {7.0});
-  const auto res = jacobi_eigen(a);
+  const auto res = symmetric_eigen(a);
   EXPECT_DOUBLE_EQ(res.values[0], 7.0);
   EXPECT_DOUBLE_EQ(res.vectors(0, 0), 1.0);
+}
+
+TEST(SymmetricEigenTest, AlreadyTridiagonalMatchesTridiagonalSolver) {
+  // The Householder reduction leaves a tridiagonal input's spectrum alone,
+  // so both entry points into the QL loop agree.
+  random::Rng rng(17);
+  const std::size_t n = 9;
+  std::vector<double> diag(n), off(n - 1);
+  for (auto& v : diag) v = random::normal(rng);
+  for (auto& v : off) v = random::normal(rng);
+  DenseMatrix dense(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    dense(i, i) = diag[i];
+    if (i + 1 < n) {
+      dense(i, i + 1) = off[i];
+      dense(i + 1, i) = off[i];
+    }
+  }
+  const auto full = symmetric_eigen(dense);
+  const auto tri = tridiagonal_eigen(diag, off);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(full.values[i], tri.values[i], 1e-12) << i;
+  }
+  expect_eigen_valid(dense, full, 1e-12);
+}
+
+TEST(SymmetricEigenTest, LeavesInputUntouchedAndIsDeterministic) {
+  const auto a = random_symmetric(30, 21);
+  const DenseMatrix copy = a;
+  const auto first = symmetric_eigen(a);
+  const auto second = symmetric_eigen(a);
+  EXPECT_EQ(a, copy);
+  EXPECT_EQ(first.values, second.values);
+  EXPECT_EQ(first.vectors, second.vectors);
 }
 
 TEST(TridiagonalTest, DiagonalOnly) {
@@ -157,7 +192,7 @@ TEST(TridiagonalTest, MatchesJacobiOnRandomTridiagonal) {
     }
   }
   const auto tri = tridiagonal_eigen(diag, off);
-  const auto jac = jacobi_eigen(dense);
+  const auto jac = reference::jacobi_eigen(dense);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(tri.values[i], jac.values[i], 1e-9) << i;
   }

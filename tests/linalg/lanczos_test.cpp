@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "linalg/eigen_sym.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector_ops.hpp"
 #include "random/distributions.hpp"
@@ -34,9 +35,9 @@ DenseMatrix random_symmetric(std::size_t n, std::uint64_t seed) {
   return m;
 }
 
-TEST(LanczosTest, MatchesJacobiTopEigenvalues) {
+TEST(LanczosTest, MatchesDenseSolverTopEigenvalues) {
   const auto a = random_symmetric(60, 3);
-  const auto exact = jacobi_eigen(a);
+  const auto exact = symmetric_eigen(a);
   LanczosOptions opt;
   opt.k = 5;
   opt.max_iterations = 60;

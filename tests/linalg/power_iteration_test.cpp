@@ -46,9 +46,9 @@ TEST(PowerIterationTest, DominantEigenpairOfDiagonal) {
   EXPECT_TRUE(res.converged);
 }
 
-TEST(PowerIterationTest, AgreesWithJacobiOnMagnitudeOrder) {
+TEST(PowerIterationTest, AgreesWithDenseSolverOnMagnitudeOrder) {
   const auto a = random_symmetric(30, 3);
-  const auto exact = jacobi_eigen(a, EigenOrder::kDescendingMagnitude);
+  const auto exact = symmetric_eigen(a, EigenOrder::kDescendingMagnitude);
   PowerIterationOptions opt;
   opt.k = 3;
   opt.max_iterations = 20000;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "linalg/qr.hpp"
@@ -92,6 +94,46 @@ TEST(SvdGramTest, RankDeficientYieldsZeroSigma) {
   EXPECT_NEAR(svd.singular_values[1], 2.0, 1e-8);
   EXPECT_NEAR(svd.singular_values[2], 0.0, 1e-6);
   EXPECT_NEAR(svd.singular_values[3], 0.0, 1e-6);
+}
+
+/// U's column j is A·v_j scaled by 1/σ_j, bit for bit as multiply_vector
+/// computes it, or exactly zero where σ_j ≤ 1e-12·σ_0.
+void expect_u_from_v(const DenseMatrix& a, const SvdResult& svd) {
+  const double s0 = svd.singular_values[0];
+  for (std::size_t j = 0; j < svd.u.cols(); ++j) {
+    const double s = svd.singular_values[j];
+    const bool zeroed = !(s > 1e-12 * (s0 + 1e-300));
+    const auto av = a.multiply_vector(svd.v.column(j));
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double want = zeroed ? 0.0 : av[i] * (1.0 / s);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(svd.u(i, j)),
+                std::bit_cast<std::uint64_t>(want))
+          << "U(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(SvdGramTest, LeftVectorsAreOnePassOfMultiplyVector) {
+  const auto a = random_matrix(3000, 24, 13);
+  expect_u_from_v(a, svd_gram(a, 8));
+}
+
+TEST(SvdGramTest, RankDeficientLeavesExactZeroColumns) {
+  // The last two of five columns are exactly zero, so the Gram is block
+  // diagonal with an exact zero block, and σ_3 = σ_4 = 0.
+  DenseMatrix a = random_matrix(200, 5, 14);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    a(i, 3) = 0.0;
+    a(i, 4) = 0.0;
+  }
+  const auto svd = svd_gram(a, 5);
+  EXPECT_EQ(svd.singular_values[3], 0.0);
+  EXPECT_EQ(svd.singular_values[4], 0.0);
+  expect_u_from_v(a, svd);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(svd.u(i, 3)), 0U);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(svd.u(i, 4)), 0U);
+  }
 }
 
 TEST(SvdGramTest, InvalidKThrows) {

@@ -1,12 +1,16 @@
 // Cross-solver property suite: three independent symmetric eigensolvers
-// (cyclic Jacobi, Lanczos, deflated power iteration) must agree on the
-// top-of-spectrum across qualitatively different matrix families. Any
-// disagreement localizes a solver bug immediately.
+// (dense Householder–QL, Lanczos, deflated power iteration) must agree on
+// the top-of-spectrum across qualitatively different matrix families, and
+// the dense solver must match the cyclic Jacobi oracle over its whole
+// spectrum. Any disagreement localizes a solver bug immediately.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 
+#include "../linalg/reference_linalg.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/lanczos.hpp"
 #include "linalg/power_iteration.hpp"
@@ -22,6 +26,8 @@ enum class Family {
   kLowRank,           // rank 3 + zeros (hard for power iteration deflation)
   kGraphLike,         // 0/1 symmetric with planted block structure
   kIllConditioned,    // eigenvalues spanning 10 orders of magnitude
+  kRepeated,          // exact multiplicities: 3, 3, 3, 1, ..., 1
+  kZero,              // the zero matrix
 };
 
 std::string family_name(Family f) {
@@ -31,6 +37,8 @@ std::string family_name(Family f) {
     case Family::kLowRank: return "low_rank";
     case Family::kGraphLike: return "graph_like";
     case Family::kIllConditioned: return "ill_conditioned";
+    case Family::kRepeated: return "repeated";
+    case Family::kZero: return "zero";
   }
   return "?";
 }
@@ -49,11 +57,15 @@ DenseMatrix make_matrix(Family family, std::size_t n, std::uint64_t seed) {
       }
       break;
     }
-    case Family::kClustered: {
-      // Q diag(10, 10+ε, 10+2ε, 1, 1, ..., 1) Qᵀ via random rotations.
+    case Family::kClustered:
+    case Family::kRepeated: {
+      // Q diag(10, 10+ε, 10+2ε, 1, 1, ..., 1) Qᵀ via random rotations, or
+      // Q diag(3, 3, 3, 1, ..., 1) Qᵀ for exact multiplicities.
+      const bool repeated = family == Family::kRepeated;
       DenseMatrix base(n, n);
       for (std::size_t i = 0; i < n; ++i) {
-        base(i, i) = i < 3 ? 10.0 + 1e-4 * static_cast<double>(i) : 1.0;
+        const double top = repeated ? 3.0 : 10.0 + 1e-4 * static_cast<double>(i);
+        base(i, i) = i < 3 ? top : 1.0;
       }
       // Random orthogonal similarity: apply Jacobi rotations.
       for (int sweep = 0; sweep < 3; ++sweep) {
@@ -118,6 +130,8 @@ DenseMatrix make_matrix(Family family, std::size_t n, std::uint64_t seed) {
       }
       break;
     }
+    case Family::kZero:
+      break;
   }
   return a;
 }
@@ -138,7 +152,7 @@ TEST_P(EigensolverAgreement, TopOfSpectrumMatchesAcrossSolvers) {
   const auto a = make_matrix(family, n, seed);
   const double scale_ref = std::max(1.0, a.frobenius_norm());
 
-  const auto jacobi = jacobi_eigen(a, EigenOrder::kDescendingMagnitude);
+  const auto dense = symmetric_eigen(a, EigenOrder::kDescendingMagnitude);
 
   LanczosOptions lopt;
   lopt.k = 3;
@@ -153,12 +167,12 @@ TEST_P(EigensolverAgreement, TopOfSpectrumMatchesAcrossSolvers) {
   const auto power = power_iteration_topk(dense_op(a), popt);
 
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(lanczos.values[i], jacobi.values[i], 1e-7 * scale_ref)
+    EXPECT_NEAR(lanczos.values[i], dense.values[i], 1e-7 * scale_ref)
         << family_name(family) << " lanczos idx " << i;
     // Power iteration struggles on near-ties; allow a looser budget there.
     const double power_tol =
         family == Family::kClustered ? 2e-4 * scale_ref : 1e-6 * scale_ref;
-    EXPECT_NEAR(power.values[i], jacobi.values[i], power_tol)
+    EXPECT_NEAR(power.values[i], dense.values[i], power_tol)
         << family_name(family) << " power idx " << i;
   }
 }
@@ -169,6 +183,60 @@ INSTANTIATE_TEST_SUITE_P(
                                      Family::kLowRank, Family::kGraphLike,
                                      Family::kIllConditioned),
                      testing::Values(1ULL, 2ULL, 3ULL)));
+
+// symmetric_eigen against the Jacobi oracle over the whole spectrum:
+// eigenvalues agree to 1e-12·‖A‖_F, every pair has residual
+// ‖Av − λv‖ ≤ 1e-10·‖A‖_F, and the eigenvectors are orthonormal to 1e-12.
+// 128 is the analyst's Gram size, 240 the scenario grid's noisy adjacency.
+class SymmetricEigenOracle
+    : public testing::TestWithParam<std::tuple<Family, std::size_t>> {};
+
+TEST_P(SymmetricEigenOracle, MatchesJacobiWithSmallResiduals) {
+  const auto [family, n] = GetParam();
+  const auto a = make_matrix(family, n, 5);
+  const double frob = a.frobenius_norm();
+
+  const auto eig = symmetric_eigen(a);
+  const auto oracle = reference::jacobi_eigen(a);
+  ASSERT_EQ(eig.values.size(), n);
+  ASSERT_EQ(eig.vectors.rows(), n);
+  ASSERT_EQ(eig.vectors.cols(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_LE(std::fabs(eig.values[i] - oracle.values[i]), 1e-12 * frob)
+        << family_name(family) << " eigenvalue " << i;
+  }
+  double worst_residual = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto v = eig.vectors.column(j);
+    const auto av = a.multiply_vector(v);
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = av[i] - eig.values[j] * v[i];
+      r2 += d * d;
+    }
+    worst_residual = std::max(worst_residual, std::sqrt(r2));
+  }
+  EXPECT_LE(worst_residual, 1e-10 * frob) << family_name(family);
+  const auto vtv = eig.vectors.gram();
+  double worst_orth = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      worst_orth =
+          std::max(worst_orth, std::fabs(vtv(i, j) - (i == j ? 1.0 : 0.0)));
+    }
+  }
+  EXPECT_LE(worst_orth, 1e-12) << family_name(family);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, SymmetricEigenOracle,
+    testing::Combine(testing::Values(Family::kRandomDense, Family::kClustered,
+                                     Family::kLowRank, Family::kGraphLike,
+                                     Family::kIllConditioned,
+                                     Family::kRepeated, Family::kZero),
+                     testing::Values(std::size_t{1}, std::size_t{2},
+                                     std::size_t{24}, std::size_t{128},
+                                     std::size_t{240})));
 
 }  // namespace
 }  // namespace sgp::linalg
