@@ -22,11 +22,13 @@ enum class IdPolicy {
   kPreserve,
 };
 
-/// Largest node id accepted under IdPolicy::kPreserve by default. One
-/// hostile line ("4000000000 1") would otherwise make the reader attempt a
-/// multi-gigabyte allocation; real inputs that legitimately need more can
-/// raise the cap explicitly (hard limit: 2^32 - 1, the id type).
-inline constexpr std::uint64_t kDefaultMaxPreservedNodeId = 1ULL << 31;
+/// Largest node id accepted under IdPolicy::kPreserve by default: 2^26, so
+/// a graph read under the default holds at most 2^26 + 1 nodes, whose CSR
+/// offsets take 512 MiB. One hostile line ("2147483648 0") or header
+/// would otherwise size a 16 GiB offset array. The paper's largest graph,
+/// LiveJournal (4 M nodes), is well below the cap; inputs that legitimately
+/// need more pass the cap explicitly (hard limit: 2^32 - 1, the id type).
+inline constexpr std::uint64_t kDefaultMaxPreservedNodeId = 1ULL << 26;
 
 /// What one streaming pass over an edge-list stream saw. `max_raw_id` is
 /// only meaningful when `edge_records > 0`; `declared_nodes` is the largest

@@ -20,7 +20,7 @@ inline std::vector<std::string> hostile_edge_lists() {
       // One hostile line asking for a multi-GB node array.
       std::string("4294967295 1"),            // 2^32 - 1 (max uint32)
       std::string("4294967296 1"),            // 2^32 (overflows uint32)
-      std::string("2147483648 0"),            // 2^31 (above preserve cap)
+      std::string("2147483648 0"),            // 2^31 (above the 2^26 preserve cap)
       std::string("18446744073709551615 1"),  // uint64 max
       std::string("0 99999999999999999999"),  // overflows uint64 itself
       // Embedded NUL bytes (mid-line and a NUL-only line).

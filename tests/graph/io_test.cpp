@@ -133,6 +133,16 @@ TEST(IoTest, PreservePolicyRejectsHugeIds) {
   EXPECT_THROW(read_edge_list(in, IdPolicy::kPreserve), std::runtime_error);
 }
 
+TEST(IoTest, PreservePolicyDefaultCapRejectsSixteenGibGraphs) {
+  // 2^31 as an id, or 2^31 declared nodes, would size 16 GiB of CSR
+  // offsets; the default cap (2^26) rejects both before any allocation.
+  std::istringstream id_line("2147483648 0\n");
+  EXPECT_THROW(read_edge_list(id_line, IdPolicy::kPreserve), util::ParseError);
+  std::istringstream header("# sgp edge list: 2147483648 nodes, 1 edges\n0 1\n");
+  EXPECT_THROW(read_edge_list(header, IdPolicy::kPreserve), util::ParseError);
+  EXPECT_EQ(kDefaultMaxPreservedNodeId, std::uint64_t{1} << 26);
+}
+
 TEST(IoTest, CompactPolicyStillRemapsSparseIds) {
   std::istringstream in("1000000 42\n42 7\n");
   const auto g = read_edge_list(in, IdPolicy::kCompact);

@@ -130,6 +130,16 @@ TEST_F(ShardLoaderTest, SignedIdsRejectedUnderBothPolicies) {
   }
 }
 
+TEST_F(ShardLoaderTest, PreservePolicyDefaultCapRejectsSixteenGibGraphs) {
+  for (const char* content :
+       {"2147483648 0\n", "# sgp edge list: 2147483648 nodes, 1 edges\n0 1\n"}) {
+    write(content);
+    EXPECT_THROW((void)EdgeListShardReader(path_, IdPolicy::kPreserve),
+                 util::ParseError)
+        << content;
+  }
+}
+
 TEST_F(ShardLoaderTest, ShardReadFaultPointFires) {
   write("0 1\n");
   const EdgeListShardReader reader(path_);

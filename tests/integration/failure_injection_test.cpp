@@ -52,7 +52,7 @@ INSTANTIATE_TEST_SUITE_P(HostileInputs, EdgeListFuzz,
                              graph::corpora::hostile_edge_lists()));
 
 TEST(EdgeListHardeningTest, PreservePolicyRejectsAbsurdIdWithParseError) {
-  std::istringstream in("3000000000 1\n");  // > 2^31 default cap
+  std::istringstream in("3000000000 1\n");  // > 2^26 default cap
   EXPECT_THROW((void)graph::read_edge_list(in, graph::IdPolicy::kPreserve),
                util::ParseError);
 }
