@@ -1,9 +1,9 @@
 // E2 (paper Fig. "noise is small"): the Gaussian noise σ required for
 // (ε, δ)-DP under random projection, across ε, δ and projection dimension m.
 //
-// Validates the abstract's second theoretical claim: the projected-row
-// sensitivity is ≈ 1 (independent of graph size n), so σ is a small
-// constant. The last column shows the total noise energy a *dense* release
+// Validates the abstract's second theoretical claim: the sensitivity, the
+// bound on the two projected rows one edge moves, is ≈ √2 (independent of
+// graph size n), so σ is a small constant. The last column shows the total noise energy a *dense* release
 // would need at the same budget — larger by the factor n/m in cells alone.
 #include <cmath>
 #include <cstdio>
@@ -19,8 +19,8 @@ int main() {
       .meta("delta_min", 1e-6);
   sgp::bench::banner(
       "E2: calibrated noise vs privacy budget",
-      "sigma per entry of the published n x m matrix; sensitivity -> 1 as m "
-      "grows (independent of n).");
+      "sigma per entry of the published n x m matrix; sensitivity -> sqrt(2) "
+      "as m grows (independent of n).");
 
   {
     sgp::obs::ScopedTimer timer("bench.sigma_table");

@@ -114,9 +114,9 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
   }
   project_timer.stop();
 
-  // Step 2: perturb with σ calibrated to the projected-row sensitivity
-  // (scaled by the per-entry change bound — the row change is
-  // ±max_entry_change·P_j).
+  // Step 2: perturb with σ calibrated to the projected-pair sensitivity
+  // (scaled by the per-entry change bound — a symmetric pair (i, j) moves
+  // row i by ±max_entry_change·P_j and row j by ±max_entry_change·P_i).
   obs::ScopedTimer perturb_timer(obs::names::kPublishPerturb);
   PublishedGraph out;
   out.calibration =

@@ -105,8 +105,9 @@ class RandomProjectionPublisher {
   /// Publishes an arbitrary symmetric weighted matrix (e.g. an interaction-
   /// strength matrix — the abstract's general "publishing matrices" setting)
   /// under the neighboring relation "one symmetric pair of entries changes
-  /// by at most `max_entry_change`". The row ℓ2-sensitivity scales linearly,
-  /// so σ is `max_entry_change` times the 0/1-graph calibration. Requires a
+  /// by at most `max_entry_change`". The pair moves two rows of Ỹ, and
+  /// their ℓ2-sensitivity scales linearly, so σ is `max_entry_change` times
+  /// the 0/1-graph calibration. Requires a
   /// square symmetric matrix and m <= n.
   [[nodiscard]] PublishedGraph publish_matrix(const linalg::CsrMatrix& matrix,
                                               double max_entry_change) const;

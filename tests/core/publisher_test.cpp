@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "cluster/metrics.hpp"
+#include "core/serialization.hpp"
 #include "graph/generators.hpp"
 #include "ranking/centrality.hpp"
 #include "ranking/metrics.hpp"
@@ -48,6 +53,55 @@ TEST(PublisherTest, DeterministicForSeed) {
   const auto a = publisher.publish(pg.graph);
   const auto b = publisher.publish(pg.graph);
   EXPECT_EQ(a.data, b.data);
+}
+
+TEST(PublisherTest, NeighborReleasesDifferByAtMostHeaderSensitivity) {
+  // Removing edge (u, v) moves row u of Ỹ by P_v and row v by P_u. Both
+  // releases use the same options, so P and N are shared and the difference
+  // is exactly that change: its Frobenius norm must stay within the
+  // sensitivity the release header claims, for every edge. The one-row
+  // bound that calibration used to take fails this for almost every edge
+  // at m = 256. The graph is a BA tree plus an edge between its two
+  // largest hubs.
+  random::Rng rng(31);
+  const graph::Graph ba = graph::barabasi_albert(256, 1, rng);
+  const std::size_t n = ba.num_nodes();
+  std::vector<std::uint32_t> by_degree(n);
+  std::iota(by_degree.begin(), by_degree.end(), 0U);
+  std::partial_sort(by_degree.begin(), by_degree.begin() + 2, by_degree.end(),
+                    [&](std::uint32_t a, std::uint32_t b) {
+                      return ba.degree(a) > ba.degree(b);
+                    });
+  std::vector<graph::Edge> edges = ba.edges();
+  const std::uint32_t h1 = std::min(by_degree[0], by_degree[1]);
+  const std::uint32_t h2 = std::max(by_degree[0], by_degree[1]);
+  if (!ba.has_edge(h1, h2)) edges.push_back({h1, h2});
+  const graph::Graph g = graph::Graph::from_edges(n, edges);
+  ASSERT_TRUE(g.has_edge(h1, h2));
+
+  RandomProjectionPublisher::Options opt;
+  opt.projection_dim = 256;
+  opt.seed = 11;
+  const RandomProjectionPublisher publisher(opt);
+  const PublishedGraph release = publisher.publish(g);
+  std::stringstream file;
+  save_published(release, file);
+  const double sensitivity = load_published(file).calibration.sensitivity;
+
+  double worst = 0.0;
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    std::vector<graph::Edge> without = edges;
+    without.erase(without.begin() + static_cast<std::ptrdiff_t>(e));
+    const PublishedGraph neighbor =
+        publisher.publish(graph::Graph::from_edges(n, without));
+    linalg::DenseMatrix diff = release.data;
+    diff.add_scaled(neighbor.data, -1.0);
+    const double change = diff.frobenius_norm();
+    worst = std::max(worst, change);
+    EXPECT_LE(change, sensitivity)
+        << "edge (" << edges[e].u << ", " << edges[e].v << ")";
+  }
+  EXPECT_GT(worst, 1.0);  // the releases really differ by two P rows
 }
 
 TEST(PublisherTest, DifferentSeedsDifferentReleases) {
