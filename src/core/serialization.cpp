@@ -154,15 +154,14 @@ PublishedGraph load_published(std::istream& in) {
     throw util::ParseError("load_published: missing data marker");
   }
 
-  std::vector<double> values(pub.num_nodes * pub.projection_dim);
+  pub.data = linalg::DenseMatrix(pub.num_nodes, pub.projection_dim);
+  const std::span<double> values = pub.data.data();
   in.read(reinterpret_cast<char*>(values.data()),
           static_cast<std::streamsize>(values.size() * sizeof(double)));
   if (in.gcount() !=
       static_cast<std::streamsize>(values.size() * sizeof(double))) {
     throw util::ParseError("load_published: truncated payload");
   }
-  pub.data = linalg::DenseMatrix(pub.num_nodes, pub.projection_dim,
-                                 std::move(values));
   return pub;
 }
 
