@@ -36,7 +36,7 @@ sgp::graph::Dataset pick_dataset(const std::string& name, bool small) {
 int main(int argc, char** argv) {
   const sgp::util::CliArgs args(argc, argv);
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 100));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_uint64("seed", 7);
 
   sgp::graph::Dataset dataset;
   if (args.has("edges")) {

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const double epsilon = args.get_double("epsilon", 10.0);
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 100));
   const auto top_pct = args.get_double("top-percent", 5.0);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_uint64("seed", 7);
 
   // Hub-dominated graph: preferential attachment grows celebrity accounts.
   sgp::random::Rng rng(seed);

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const sgp::util::CliArgs args(argc, argv);
   const double epsilon = args.get_double("epsilon", 6.0);
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 64));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_uint64("seed", 7);
 
   // 1. A social graph with three communities and celebrity hubs (in
   //    practice: your real graph, e.g. via sgp::graph::read_edge_list_file).

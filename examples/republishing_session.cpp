@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const auto weeks = static_cast<std::size_t>(args.get_int("weeks", 20));
   const double per_eps = args.get_double("per-epsilon", 4.0);
   const double total_eps = args.get_double("total-epsilon", 24.0);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_uint64("seed", 7);
 
   sgp::core::PublishingSession::Options opt;
   opt.publisher.projection_dim = 64;

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const auto target = static_cast<std::size_t>(args.get_int("target", 800));
   const double epsilon = args.get_double("epsilon", 8.0);
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 64));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_uint64("seed", 7);
 
   sgp::random::Rng rng(seed);
   const auto planted = sgp::graph::stochastic_block_model(

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const double epsilon = args.get_double("epsilon", 8.0);
   const double w_max = args.get_double("w-max", 5.0);
   const auto dim = static_cast<std::size_t>(args.get_int("dim", 64));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  const auto seed = args.get_uint64("seed", 7);
 
   // Build a weighted interaction matrix: SBM topology, within-community
   // interactions are strong (2..w_max messages), cross ones weak (1).

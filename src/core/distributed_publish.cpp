@@ -634,7 +634,7 @@ int run_publish_worker(const util::CliArgs& args) {
       static_cast<std::size_t>(args.get_int("dim", 100));
   opt.publish.params = {args.get_double("epsilon", 1.0),
                         args.get_double("delta", 1e-6)};
-  opt.publish.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  opt.publish.seed = args.get_uint64("seed", 7);
   if (args.get_string("projection", "gaussian") == "achlioptas") {
     opt.publish.projection = ProjectionKind::kAchlioptas;
   }

@@ -1,6 +1,7 @@
 #include "core/publisher.hpp"
 
 #include <new>
+#include <numeric>
 
 #include "cluster/spectral.hpp"
 #include "dp/mechanisms.hpp"
@@ -85,73 +86,38 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
       random::resolve_normal_kernel(options_.kernel);
   publish_span.attr("kernel", std::string(random::to_string(kernel)));
 
-  // Step 1: project, fused. P is never materialized: the kernel generates
-  // counter-based tiles of it on demand (P[i][j] = f(seed, i·m+j), see
-  // core/projection.hpp) and accumulates Y = A·P directly, so peak memory is
-  // Y plus one tile per pool thread and the generation parallelizes over
-  // column blocks of Y. The fault point stands in for the Y allocation — the
-  // largest of a publish now that P is virtual — and both it and a genuine
-  // failure surface as the typed ResourceError.
-  obs::ScopedTimer project_timer(obs::names::kPublishProject);
-  project_timer.attr("nnz", matrix.nnz());
-  linalg::DenseMatrix y;
-  try {
-    util::fault_point(util::fault_points::kAlloc);
-    const random::CounterRng p_rng = projection_counter_rng(options_.seed);
-    const ProjectionKind kind = options_.projection;
-    y = matrix.multiply_generated(
-        m,
-        [&p_rng, m, kind, kernel](std::size_t r0, std::size_t r1,
-                                  std::size_t c0, std::size_t c1,
-                                  double* out_tile) {
-          fill_projection_tile(p_rng, m, kind, r0, r1, c0, c1, out_tile,
-                               kernel);
-        });
-  } catch (const std::bad_alloc&) {
-    throw util::ResourceError("publish: out of memory allocating " +
-                              std::to_string(n) + "x" + std::to_string(m) +
-                              " release");
-  }
-  project_timer.stop();
-
-  // Step 2: perturb with σ calibrated to the projected-pair sensitivity
-  // (scaled by the per-entry change bound — a symmetric pair (i, j) moves
-  // row i by ±max_entry_change·P_j and row j by ±max_entry_change·P_i).
-  obs::ScopedTimer perturb_timer(obs::names::kPublishPerturb);
+  // σ is calibrated to the projected-pair sensitivity, scaled by the
+  // per-entry change bound: a symmetric pair (i, j) moves row i by
+  // ±max_entry_change·P_j and row j by ±max_entry_change·P_i.
   PublishedGraph out;
   out.calibration =
       calibrate_noise(m, options_.params, options_.analytic_calibration,
                       options_.delta_split);
   out.calibration.sensitivity *= max_entry_change;
   out.calibration.sigma *= max_entry_change;
-  // Independent noise stream: a separate counter stream id, so the noise is
-  // uncorrelated with P for the same seed and — being counter-based — the
-  // perturbation parallelizes with bit-identical results per thread count.
-  {
-    const random::CounterRng noise = noise_counter_rng(options_.seed);
-    const double sigma = out.calibration.sigma;
-    util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-      // One reusable batch buffer per work chunk: the kernel fills a row of
-      // draws at a time, then the (exactly-ordered) axpy keeps the update
-      // bit-identical to the per-entry formulation.
-      std::vector<double> draws(m);
-      for (std::size_t r = lo; r < hi; ++r) {
-        auto row = y.row(r);
-        const std::uint64_t base = static_cast<std::uint64_t>(r) * m;
-        random::normal_batch(noise, base, m, draws.data(), kernel);
-        for (std::size_t c = 0; c < m; ++c) {
-          row[c] += sigma * draws[c];
-        }
-      }
-    });
+
+  // Steps 1 and 2, project and perturb, over every row. The matrix is
+  // symmetric, so its own CSR is the source-major index publish_rows
+  // pushes P through; P is never materialized, and peak memory is Y plus
+  // one tile per pool thread. The fault point stands in for the Y
+  // allocation — the largest of a publish — and both it and a genuine
+  // failure surface as the typed ResourceError.
+  linalg::DenseMatrix y;
+  try {
+    util::fault_point(util::fault_points::kAlloc);
+    y = linalg::DenseMatrix(n, m);
+    RandomProjectionPublisher::Options resolved = options_;
+    resolved.kernel = kernel;
+    publish_rows(matrix.scatter_view(), 0, n, resolved, out.calibration,
+                 util::global_pool(), y.data());
+  } catch (const std::bad_alloc&) {
+    throw util::ResourceError("publish: out of memory allocating " +
+                              std::to_string(n) + "x" + std::to_string(m) +
+                              " release");
   }
-  perturb_timer.attr("sigma", out.calibration.sigma);
-  perturb_timer.stop();
 
   static obs::Counter& releases = obs::counter(obs::names::kPublishReleases);
-  static obs::Counter& cells = obs::counter(obs::names::kPublishCells);
   releases.add();
-  cells.add(static_cast<std::uint64_t>(n) * m);
   // Headline config gauges (docs/observability.md): the σ actually used
   // and the input size, so a report is interpretable on its own.
   obs::gauge(obs::names::kPublishSigma).set(out.calibration.sigma);
@@ -170,6 +136,97 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
   out.projection = options_.projection;
   out.projection_rng = projection_rng_for(options_.projection, kernel);
   return out;
+}
+
+RowsBySource transpose_rows(
+    std::size_t row_begin, std::size_t row_end,
+    const std::function<std::span<const std::uint32_t>(std::size_t)>&
+        neighbors) {
+  util::require(row_begin <= row_end, "transpose_rows: bad row range");
+  RowsBySource out;
+  out.num_rows = row_end - row_begin;
+  // Counts per source, growing to one past the largest id seen; the prefix
+  // sum then turns offsets[j] into the end of source j's rows.
+  out.offsets.assign(1, 0);
+  for (std::size_t i = row_begin; i < row_end; ++i) {
+    for (const std::uint32_t j : neighbors(i)) {
+      if (j + std::size_t{1} >= out.offsets.size()) {
+        out.offsets.resize(j + std::size_t{2}, 0);
+      }
+      ++out.offsets[j];
+    }
+  }
+  std::partial_sum(out.offsets.begin(), out.offsets.end(),
+                   out.offsets.begin());
+
+  // Filling each source from its end, rows descending, leaves offsets[j] at
+  // the start of source j's rows and the rows ascending.
+  out.rows.resize(out.offsets.back());
+  for (std::size_t i = row_end; i-- > row_begin;) {
+    const auto local = static_cast<std::uint32_t>(i - row_begin);
+    for (const std::uint32_t j : neighbors(i)) out.rows[--out.offsets[j]] = local;
+  }
+  return out;
+}
+
+void publish_rows(const linalg::SourceMajorView& index, std::size_t row_begin,
+                  std::size_t row_end,
+                  const RandomProjectionPublisher::Options& options,
+                  const NoiseCalibration& calibration, util::ThreadPool& pool,
+                  std::span<double> out) {
+  const std::size_t m = options.projection_dim;
+  util::require(row_begin <= row_end && index.num_destinations ==
+                                            row_end - row_begin,
+                "publish_rows: index must cover the row range");
+  const random::KernelVariant kernel =
+      random::resolve_normal_kernel(options.kernel);
+
+  // Step 1: project, fused. The kernel pushes each row of P the index
+  // touches, generated on demand (P[j][c] = f(seed, j·m+c), see
+  // core/projection.hpp), into every row that lists it.
+  {
+    obs::ScopedTimer project_timer(obs::names::kPublishProject);
+    project_timer.attr("rows", row_end - row_begin)
+        .attr("nnz", index.destinations.size());
+    const random::CounterRng p_rng = projection_counter_rng(options.seed);
+    const ProjectionKind kind = options.projection;
+    linalg::GeneratedTileOptions tiles;
+    tiles.pool = &pool;
+    linalg::multiply_generated_into(
+        index, m,
+        [&p_rng, m, kind, kernel](std::size_t r0, std::size_t r1,
+                                  std::size_t c0, std::size_t c1,
+                                  double* out_tile) {
+          fill_projection_tile(p_rng, m, kind, r0, r1, c0, c1, out_tile,
+                               kernel);
+        },
+        tiles, out);
+  }
+
+  // Step 2: perturb. The noise has its own counter stream, so it is
+  // uncorrelated with P for the same seed, and row i draws counters
+  // i·m .. i·m + m − 1 wherever the row range starts.
+  obs::ScopedTimer perturb_timer(obs::names::kPublishPerturb);
+  perturb_timer.attr("sigma", calibration.sigma);
+  const random::CounterRng noise = noise_counter_rng(options.seed);
+  const double sigma = calibration.sigma;
+  util::parallel_for(
+      pool, row_begin, row_end,
+      [&](std::size_t lo, std::size_t hi) {
+        // One reusable batch buffer per work chunk: the kernel fills a row
+        // of draws at a time, then the (exactly-ordered) axpy keeps the
+        // update bit-identical to the per-entry formulation.
+        std::vector<double> draws(m);
+        for (std::size_t i = lo; i < hi; ++i) {
+          double* row = out.data() + (i - row_begin) * m;
+          random::normal_batch(noise, static_cast<std::uint64_t>(i) * m, m,
+                               draws.data(), kernel);
+          for (std::size_t c = 0; c < m; ++c) row[c] += sigma * draws[c];
+        }
+      },
+      /*grain=*/16);
+  static obs::Counter& cells = obs::counter(obs::names::kPublishCells);
+  cells.add(static_cast<std::uint64_t>(row_end - row_begin) * m);
 }
 
 linalg::DenseMatrix spectral_embedding(const PublishedGraph& published,

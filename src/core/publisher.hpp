@@ -13,6 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
 
 #include "cluster/kmeans.hpp"
 #include "core/projection.hpp"
@@ -21,7 +24,12 @@
 #include "dp/privacy.hpp"
 #include "graph/graph.hpp"
 #include "linalg/dense_matrix.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "random/kernel_variant.hpp"
+
+namespace sgp::util {
+class ThreadPool;
+}  // namespace sgp::util
 
 namespace sgp::core {
 
@@ -117,6 +125,49 @@ class RandomProjectionPublisher {
  private:
   Options options_;
 };
+
+/// Rows [row_begin, row_end) of an adjacency structure, transposed: for
+/// each source node j, the local rows (i − row_begin) whose neighbor list
+/// holds j, ascending. This is the index publish_rows pushes each P_j
+/// through. Its size is num_sources + 1 offsets plus one entry per
+/// neighbor-list entry of the rows.
+struct RowsBySource {
+  std::size_t num_rows = 0;
+  std::vector<std::size_t> offsets;  ///< num_sources + 1; source j's rows
+  std::vector<std::uint32_t> rows;   ///< local row ids, grouped by source
+
+  [[nodiscard]] linalg::SourceMajorView view() const {
+    return {offsets, rows, {}, num_rows};
+  }
+};
+
+/// Builds the RowsBySource of rows [row_begin, row_end), where
+/// `neighbors(i)` is global row i's neighbor list. A counting sort keyed by
+/// source (count, prefix sum, scatter), filled from the end so no cursor
+/// array is needed: O(num_sources + entries) time and memory, where
+/// num_sources is one past the largest neighbor id.
+[[nodiscard]] RowsBySource transpose_rows(
+    std::size_t row_begin, std::size_t row_end,
+    const std::function<std::span<const std::uint32_t>(std::size_t)>&
+        neighbors);
+
+/// Computes rows [row_begin, row_end) of the release into `out`, which
+/// holds (row_end − row_begin)·m zeroed doubles, row-major:
+///   1. project: out += A·P through `index` (the rows' adjacency read
+///      source-major, destinations local to row_begin), drawing each
+///      needed row of P once (span publish.project);
+///   2. perturb: add σ·N_i to each row i (span publish.perturb).
+/// P_j and N_i are pure functions of (seed, counter, kernel mapping) and
+/// each output cell sums its P rows in ascending j, so the bytes do not
+/// depend on how a release is cut into row ranges or on the pool. Every
+/// publish mode funnels through here, so publish.cells counts each row
+/// once. `options.kernel` is resolved per call; a caller that publishes in
+/// several calls passes the resolved variant.
+void publish_rows(const linalg::SourceMajorView& index, std::size_t row_begin,
+                  std::size_t row_end,
+                  const RandomProjectionPublisher::Options& options,
+                  const NoiseCalibration& calibration, util::ThreadPool& pool,
+                  std::span<double> out);
 
 /// Analyst-side: top-k left singular vectors of Ỹ (n×k) — the spectral node
 /// embedding used for clustering. Requires 1 <= k <= m.

@@ -7,16 +7,15 @@
 #include <string>
 #include <vector>
 
-#include "core/projection.hpp"
 #include "core/theory.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/scoped_timer.hpp"
-#include "random/counter_rng.hpp"
-#include "random/counter_rng_simd.hpp"
+#include "random/kernel_variant.hpp"
 #include "util/check.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/fault_point_names.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sgp::core {
 namespace {
@@ -27,6 +26,9 @@ namespace {
 // old sequential Rng.
 constexpr char kMagic[] = "sgp-published-graph v2";
 constexpr char kMagicV1[] = "sgp-published-graph v1";
+
+// Upper bound on the row block publish_to_stream computes at a time.
+constexpr std::size_t kStreamBlockBytes = std::size_t{4} << 20;
 
 }  // namespace
 
@@ -186,44 +188,34 @@ void publish_to_stream(const graph::Graph& g,
                 "publish_to_stream: projection_dim must be in [1, n]");
   options.params.validate();
 
-  // Replicate the fused publisher's randomness exactly: P and the noise are
-  // counter-based pure functions of the seed (core/projection.hpp), so the
-  // needed row of P regenerates on demand per neighbor and nothing n×m is
-  // ever held. Per output cell, neighbors are visited in ascending order —
-  // the same accumulation order as the fused kernel — so the payload is
-  // byte-identical to save_published(publish(g)) in O(m) memory.
-  const random::CounterRng p_rng = projection_counter_rng(options.seed);
-  const random::CounterRng noise = noise_counter_rng(options.seed);
-
   // Same once-per-publish kernel resolution as the in-memory publisher, so
   // the two paths pick the same mapping — and therefore the same header tag
-  // and payload bytes — for the same options and environment.
-  const random::KernelVariant kernel =
-      random::resolve_normal_kernel(options.kernel);
+  // and payload bytes — for the same options and environment. Every block
+  // below runs on the resolved variant.
+  RandomProjectionPublisher::Options resolved = options;
+  resolved.kernel = random::resolve_normal_kernel(options.kernel);
 
   const NoiseCalibration calibration = calibrate_noise(
       m, options.params, options.analytic_calibration, options.delta_split);
   write_published_header(out, n, m, options.params, calibration,
                          options.projection,
-                         projection_rng_for(options.projection, kernel));
+                         projection_rng_for(options.projection,
+                                            resolved.kernel));
 
-  // Stream one published row at a time: Ỹ_i = Σ_{j∈N(i)} P_j + σ·N_i.
-  std::vector<double> row(m);
-  std::vector<double> prow(m);
-  std::vector<double> draws(m);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::fill(row.begin(), row.end(), 0.0);
-    for (std::uint32_t j : g.neighbors(i)) {
-      fill_projection_tile(p_rng, m, options.projection, j, j + 1, 0, m,
-                           prow.data(), kernel);
-      for (std::size_t c = 0; c < m; ++c) row[c] += prow[c];
-    }
-    const std::uint64_t base = static_cast<std::uint64_t>(i) * m;
-    random::normal_batch(noise, base, m, draws.data(), kernel);
-    for (std::size_t c = 0; c < m; ++c) {
-      row[c] += calibration.sigma * draws[c];
-    }
-    write_published_doubles(out, row);
+  // Stream bounded row blocks: each is transposed and published through the
+  // same publish_rows as every other mode, so the payload is byte-identical
+  // to save_published(publish(g)) while nothing n×m is ever held.
+  const std::size_t block_rows =
+      std::max<std::size_t>(1, kStreamBlockBytes / (m * sizeof(double)));
+  std::vector<double> block;
+  for (std::size_t r0 = 0; r0 < n; r0 += block_rows) {
+    const std::size_t r1 = std::min(n, r0 + block_rows);
+    block.assign((r1 - r0) * m, 0.0);
+    const RowsBySource index = transpose_rows(
+        r0, r1, [&g](std::size_t i) { return g.neighbors(i); });
+    publish_rows(index.view(), r0, r1, resolved, calibration,
+                 util::global_pool(), block);
+    write_published_doubles(out, block);
   }
   if (!out.good()) {
     throw util::IoError("publish_to_stream: stream write failed");

@@ -52,11 +52,12 @@ PublishedGraph load_published(std::istream& in);
 /// Loads from a file path. Throws std::runtime_error if unreadable.
 PublishedGraph load_published_file(const std::string& path);
 
-/// Memory-bounded publish: computes and writes the release row by row
-/// instead of materializing Ỹ (peak memory drops from ~2·n·m to ~n·m
-/// doubles — the projection matrix only). Produces **byte-identical** output
-/// to `save_published(RandomProjectionPublisher(options).publish(g), out)`
-/// for the same options, so consumers cannot tell the difference.
+/// Memory-bounded publish: computes and writes the release in row blocks of
+/// at most 4 MiB instead of materializing Ỹ. Each block is transposed by
+/// source and computed by publish_rows on the global pool, so working memory
+/// is the block plus its O(n + |E_block|) index. Produces **byte-identical**
+/// output to `save_published(RandomProjectionPublisher(options).publish(g),
+/// out)` for the same options, so consumers cannot tell the difference.
 void publish_to_stream(const graph::Graph& g,
                        const RandomProjectionPublisher::Options& options,
                        std::ostream& out);

@@ -14,8 +14,6 @@
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
-#include "random/counter_rng.hpp"
-#include "random/counter_rng_simd.hpp"
 #include "random/kernel_variant.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -97,42 +95,11 @@ void compute_shard_tile(const graph::ShardRows& shard, std::size_t row_begin,
                         const RandomProjectionPublisher::Options& publish,
                         const NoiseCalibration& calibration,
                         util::ThreadPool& pool, std::vector<double>& tile) {
-  const std::size_t m = publish.projection_dim;
-  const random::CounterRng p_rng = projection_counter_rng(publish.seed);
-  const random::CounterRng noise = noise_counter_rng(publish.seed);
-  const random::KernelVariant kernel =
-      random::resolve_normal_kernel(publish.kernel);
-  tile.assign((row_end - row_begin) * m, 0.0);
-
-  // Row i of the release, computed exactly as publish_to_stream computes
-  // it: neighbors ascending, then σ-scaled counter noise — both pure
-  // functions of (seed, counter, kernel mapping), so threads and shard
-  // boundaries cannot change a single bit.
-  util::parallel_for(
-      pool, row_begin, row_end,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> prow(m);
-        std::vector<double> draws(m);
-        for (std::size_t i = lo; i < hi; ++i) {
-          double* row = tile.data() + (i - row_begin) * m;
-          for (std::uint32_t j : shard.neighbors(i)) {
-            fill_projection_tile(p_rng, m, publish.projection, j, j + 1, 0, m,
-                                 prow.data(), kernel);
-            for (std::size_t c = 0; c < m; ++c) row[c] += prow[c];
-          }
-          const std::uint64_t base = static_cast<std::uint64_t>(i) * m;
-          random::normal_batch(noise, base, m, draws.data(), kernel);
-          for (std::size_t c = 0; c < m; ++c) {
-            row[c] += calibration.sigma * draws[c];
-          }
-        }
-      },
-      /*grain=*/16);
-  // Counted here — the one code path every publish mode (streaming aside)
-  // funnels through — so single-process and distributed runs report the
-  // same publish.cells total for the same release.
-  static obs::Counter& cells = obs::counter(obs::names::kPublishCells);
-  cells.add((row_end - row_begin) * m);
+  tile.assign((row_end - row_begin) * publish.projection_dim, 0.0);
+  const RowsBySource index = transpose_rows(
+      row_begin, row_end, [&shard](std::size_t i) { return shard.neighbors(i); });
+  publish_rows(index.view(), row_begin, row_end, publish, calibration, pool,
+               tile);
 }
 
 ShardPlan plan_shards(std::size_t num_rows, std::size_t shard_rows) {

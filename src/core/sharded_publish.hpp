@@ -5,12 +5,13 @@
 // and with counter-based generation (core/projection.hpp) both P rows and
 // the noise are pure functions of (seed, counter) — no state flows between
 // rows. Publication therefore decomposes into independent row shards: stream
-// shard rows from the edge list (graph/shard_loader.hpp), compute the
-// shard's tile of Ỹ in parallel, append it to the release stream, repeat.
-// Working memory is O(rows_per_shard·m + |E_shard|) instead of O(n·m), and
-// the output is byte-identical to publish_to_stream for every shard size
-// and thread count (enforced by tests/core/sharded_publish_test.cpp and the
-// slow differential matrix).
+// shard rows from the edge list (graph/shard_loader.hpp), transpose them by
+// source, push each row of P the shard touches once through publish_rows
+// (core/publisher.hpp), append the tile to the release stream, repeat.
+// Working memory is O(rows_per_shard·m + n + |E_shard|) instead of O(n·m),
+// and the output is byte-identical to publish_to_stream for every shard
+// size and thread count (enforced by tests/core/sharded_publish_test.cpp,
+// tests/core/publish_rows_test.cpp and the slow differential matrix).
 //
 // Durability: after each shard the publisher appends a CRC-guarded record to
 // a sidecar checkpoint log (`<out>.ckpt`). A crash mid-shard leaves the log
@@ -66,9 +67,12 @@ struct ShardPlan {
 
 /// Derives a shard height from a memory budget: half the budget is reserved
 /// for the shard's output tile (shard_rows·m·8 bytes), the other half
-/// absorbs the shard's adjacency lists and per-thread scratch — so
+/// absorbs the shard's adjacency lists, their transpose by source and
+/// per-thread scratch — so
 ///   shard_rows = max(1, (max_memory_mb·2^20 / 2) / (8·m)).
-/// Documented in docs/scaling.md; the property tests pin the bound.
+/// The transpose's n + 1 offsets are an O(n) term the budget does not
+/// bound, like the kCompact remap. Documented in docs/scaling.md; the
+/// property tests pin the bound.
 [[nodiscard]] std::size_t shard_rows_for_memory(std::size_t max_memory_mb,
                                                 std::size_t projection_dim);
 
@@ -107,11 +111,14 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
                                      const std::string& out_path);
 
 /// Computes the published tile for rows [row_begin, row_end) — exactly the
-/// bytes publish_to_stream would emit for those rows: neighbors ascending,
-/// then σ-scaled counter noise, both pure functions of (seed, counter), so
-/// the caller's process/shard/thread topology cannot change a bit. `tile`
-/// is resized to (row_end − row_begin)·m. Shared by the single-process
-/// shard loop and the distributed workers (core/distributed_publish.hpp).
+/// bytes publish_to_stream would emit for those rows. The shard's rows are
+/// transposed by source (transpose_rows: n + 1 offsets plus one 4-byte row
+/// id per neighbor entry), and publish_rows draws each row of P the shard
+/// touches once — at most one per neighbor entry — then adds σ-scaled
+/// counter noise. Both are pure functions of (seed, counter), so the
+/// caller's process/shard/thread topology cannot change a bit. `tile` is
+/// resized to (row_end − row_begin)·m. Shared by the single-process shard
+/// loop and the distributed workers (core/distributed_publish.hpp).
 void compute_shard_tile(const graph::ShardRows& shard, std::size_t row_begin,
                         std::size_t row_end,
                         const RandomProjectionPublisher::Options& publish,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "obs/metric_names.hpp"
@@ -137,24 +138,45 @@ DenseMatrix CsrMatrix::multiply_dense(const DenseMatrix& b) const {
   return out;
 }
 
+SourceMajorView CsrMatrix::scatter_view() const {
+  return {row_ptr_, col_idx_, values_, cols_};
+}
+
 DenseMatrix CsrMatrix::multiply_generated(
     std::size_t b_cols, const TileFiller& fill_tile,
     const GeneratedTileOptions& opts) const {
   util::require(rows() == cols_, "multiply_generated: matrix must be square");
+  DenseMatrix out(rows(), b_cols);
+  multiply_generated_into(scatter_view(), b_cols, fill_tile, opts, out.data());
+  return out;
+}
+
+void multiply_generated_into(const SourceMajorView& a, std::size_t b_cols,
+                             const TileFiller& fill_tile,
+                             const GeneratedTileOptions& opts,
+                             std::span<double> out) {
   util::require(static_cast<bool>(fill_tile),
                 "multiply_generated: fill_tile must be callable");
-  const std::size_t n = rows();
-  DenseMatrix out(n, b_cols);
-  if (n == 0 || b_cols == 0) return out;
+  util::require(!a.offsets.empty() && a.offsets.front() == 0 &&
+                    a.offsets.back() == a.destinations.size() &&
+                    std::is_sorted(a.offsets.begin(), a.offsets.end()),
+                "multiply_generated: offsets must run from 0 to the entry "
+                "count without decreasing");
+  util::require(a.weights.empty() || a.weights.size() == a.destinations.size(),
+                "multiply_generated: weights must be empty or one per entry");
+  util::require(b_cols == 0 ? out.empty()
+                            : out.size() % b_cols == 0 &&
+                                  out.size() / b_cols == a.num_destinations,
+                "multiply_generated: out must hold num_destinations x b_cols");
+  util::require(std::all_of(a.destinations.begin(), a.destinations.end(),
+                            [&](std::uint32_t d) {
+                              return d < a.num_destinations;
+                            }),
+                "multiply_generated: destination outside the output");
+  const std::size_t sources = a.offsets.size() - 1;
+  if (a.destinations.empty() || b_cols == 0) return;
 
   util::ThreadPool& pool = opts.pool ? *opts.pool : util::global_pool();
-  // Clamp to n before sizing scratch: an adversarial tile_rows (say
-  // SIZE_MAX) would otherwise overflow the tile_rows·tile_cols product and
-  // allocate a scratch buffer smaller than one tile. After the clamp the
-  // product is bounded by n·b_cols, which the `out` allocation above has
-  // already proven representable.
-  const std::size_t tile_rows =
-      std::min(std::max<std::size_t>(1, opts.tile_rows), n);
   std::size_t tile_cols = opts.tile_cols;
   if (tile_cols == 0) {
     // Narrow auto blocks: at least two blocks per thread so the pool stays
@@ -164,55 +186,76 @@ DenseMatrix CsrMatrix::multiply_generated(
         (b_cols + 2 * pool.size() - 1) / (2 * pool.size()), 8, 64);
   }
   tile_cols = std::min(tile_cols, b_cols);
+  // Clamp before sizing scratch: an adversarial tile_rows (say SIZE_MAX)
+  // would otherwise overflow the tile_rows·tile_cols product and allocate a
+  // scratch buffer smaller than one tile. No run is longer than the source
+  // count, and the product is checked outright.
+  const std::size_t tile_rows =
+      std::min(std::max<std::size_t>(1, opts.tile_rows), sources);
+  util::require(tile_rows <= std::numeric_limits<std::size_t>::max() /
+                                 tile_cols,
+                "multiply_generated: tile_rows x tile_cols overflows");
 
   static obs::Counter& tiles = obs::counter(obs::names::kLinalgFusedTiles);
+  const std::size_t* const offsets = a.offsets.data();
+  const std::uint32_t* const dest = a.destinations.data();
+  const double* const weights = a.weights.empty() ? nullptr : a.weights.data();
+  const auto has_destination = [offsets](std::size_t j) {
+    return offsets[j] != offsets[j + 1];
+  };
 
   // Each chunk of columns is owned by exactly one task, so the scatter
-  // Y[r, c0..c1) += v · tile[j, c0..c1) never races: tasks write disjoint
-  // column slabs of `out`. Per output cell (r, c) the contributions arrive
-  // in ascending j (outer row-block loop, then rows within the tile), which
-  // matches the ascending-column accumulation of multiply_dense on a
-  // symmetric matrix — hence bit-identical results for any tiling/threads.
+  // out[d, c0..c1) += w · tile[j, c0..c1) never races: tasks write disjoint
+  // column slabs of `out`. Per output cell (d, c) the contributions arrive
+  // in ascending j (runs in ascending order, then sources within the run),
+  // so the bits do not depend on the tiling or the thread count.
   util::parallel_for(
       pool, 0, b_cols,
       [&](std::size_t col_lo, std::size_t col_hi) {
         std::vector<double> scratch(tile_rows * tile_cols);
-        double* const out_data = out.row(0).data();
+        double* const out_data = out.data();
         for (std::size_t c0 = col_lo; c0 < col_hi; c0 += tile_cols) {
           const std::size_t c1 = std::min(col_hi, c0 + tile_cols);
           const std::size_t width = c1 - c0;
-          for (std::size_t j0 = 0; j0 < n; j0 += tile_rows) {
-            const std::size_t j1 = std::min(n, j0 + tile_rows);
+          std::size_t j0 = 0;
+          while (true) {
+            // The next run: consecutive sources that each have a
+            // destination, so no row of B is generated for nothing.
+            while (j0 < sources && !has_destination(j0)) ++j0;
+            if (j0 == sources) break;
+            std::size_t j1 = j0 + 1;
+            while (j1 < sources && j1 - j0 < tile_rows && has_destination(j1)) {
+              ++j1;
+            }
             fill_tile(j0, j1, c0, c1, scratch.data());
             tiles.add();
             for (std::size_t j = j0; j < j1; ++j) {
               const double* tile_row = scratch.data() + (j - j0) * width;
-              const std::size_t k_end = row_ptr_[j + 1];
-              for (std::size_t k = row_ptr_[j]; k < k_end; ++k) {
-                // The scatter destination row is data-dependent through
-                // col_idx_, so the hardware prefetcher can't see it coming;
-                // hint the next entry's line while this one's FMAs run.
+              const std::size_t k_end = offsets[j + 1];
+              for (std::size_t k = offsets[j]; k < k_end; ++k) {
+                // The scatter destination row is data-dependent, so the
+                // hardware prefetcher can't see it coming; hint the next
+                // entry's line while this one's FMAs run.
                 if (k + 1 < k_end) {
                   __builtin_prefetch(
-                      out_data +
-                          static_cast<std::size_t>(col_idx_[k + 1]) * b_cols +
+                      out_data + static_cast<std::size_t>(dest[k + 1]) * b_cols +
                           c0,
                       /*rw=*/1, /*locality=*/1);
                 }
-                const double v = values_[k];
+                // A unit weight keeps the bits: 1.0·x == x.
+                const double v = weights != nullptr ? weights[k] : 1.0;
                 double* orow =
-                    out_data + static_cast<std::size_t>(col_idx_[k]) * b_cols +
-                    c0;
+                    out_data + static_cast<std::size_t>(dest[k]) * b_cols + c0;
                 for (std::size_t c = 0; c < width; ++c) {
                   orow[c] += v * tile_row[c];
                 }
               }
             }
+            j0 = j1;
           }
         }
       },
       tile_cols);
-  return out;
 }
 
 DenseMatrix CsrMatrix::to_dense() const {

@@ -28,7 +28,7 @@ using TileFiller = std::function<void(std::size_t row_begin,
                                       std::size_t col_begin,
                                       std::size_t col_end, double* out)>;
 
-/// Tuning knobs for CsrMatrix::multiply_generated.
+/// Tuning knobs for multiply_generated_into and CsrMatrix::multiply_generated.
 struct GeneratedTileOptions {
   /// Rows of B generated per tile.
   std::size_t tile_rows = 512;
@@ -39,6 +39,35 @@ struct GeneratedTileOptions {
   /// Pool to run on; nullptr = util::global_pool().
   util::ThreadPool* pool = nullptr;
 };
+
+/// A sparse operator read source-major: source j adds weights[k]·B[j] into
+/// output row destinations[k] for every k in [offsets[j], offsets[j + 1]).
+/// An empty `weights` span means every weight is 1. The view only borrows;
+/// the caller owns the arrays.
+struct SourceMajorView {
+  std::span<const std::size_t> offsets;         ///< num_sources + 1 entries
+  std::span<const std::uint32_t> destinations;  ///< each < num_destinations
+  std::span<const double> weights;              ///< empty, or one per entry
+  std::size_t num_destinations = 0;
+};
+
+/// Fused product out (num_destinations × b_cols, row-major) += A·B, where A
+/// is `a` and B (num_sources × b_cols) is never materialized: `fill_tile`
+/// generates it on demand into a per-thread scratch buffer. The filler is
+/// asked only for runs of at most tile_rows consecutive sources that have
+/// at least one destination, each once per column block, so total
+/// generation work is (sources with a destination)·b_cols.
+///
+/// Work is partitioned over column blocks of `out`, so each task owns its
+/// slab and no write races exist. Every task walks the sources in
+/// ascending order, so each output cell receives its contributions in
+/// ascending source order, whatever the tiling and thread count: the result
+/// is bit-identical to the pull loop out[r] += Σ_{j ascending} w·B[j].
+/// `out` is accumulated into, not cleared.
+void multiply_generated_into(const SourceMajorView& a, std::size_t b_cols,
+                             const TileFiller& fill_tile,
+                             const GeneratedTileOptions& opts,
+                             std::span<double> out);
 
 /// One (row, col, value) entry used to assemble a CSR matrix.
 struct Triplet {
@@ -88,15 +117,16 @@ class CsrMatrix {
   /// rows; this is the O(nnz · k) projection kernel of the mechanism.
   [[nodiscard]] DenseMatrix multiply_dense(const DenseMatrix& b) const;
 
-  /// Fused product A (n×n, must be symmetric) * B (n×b_cols) → n×b_cols,
-  /// where B is never materialized: `fill_tile` generates each needed tile
-  /// into a per-thread scratch buffer on demand (total generation work is
-  /// n·b_cols, each tile exactly once). Work is partitioned over *column*
-  /// blocks of the output, so each thread owns its slab of Y and no write
-  /// races exist; within a (row, col) cell, contributions accumulate in
-  /// ascending source-row order — the same order as multiply_dense, so for a
-  /// symmetric A the result is bit-identical to
-  /// multiply_dense(materialized B), for every tiling and thread count.
+  /// The matrix read source-major: source j scatters into the columns of
+  /// row j, so multiply_generated_into over it computes Aᵀ·B, which is A·B
+  /// for a symmetric A. Borrows this matrix's arrays.
+  [[nodiscard]] SourceMajorView scatter_view() const;
+
+  /// Fused product A (n×n, must be symmetric) * B (n×b_cols) → n×b_cols:
+  /// multiply_generated_into over scatter_view(). For a symmetric A each
+  /// output cell accumulates in ascending source order, the order of
+  /// multiply_dense, so the result is bit-identical to
+  /// multiply_dense(materialized B) for every tiling and thread count.
   ///
   /// Symmetry is required because the kernel scatters through row j of A to
   /// reach column j of A (Y[r] += A[j][r]·B[j]). Squareness is checked;

@@ -1,10 +1,25 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <optional>
+#include <system_error>
+
 #include "util/check.hpp"
 #include "util/errors.hpp"
 
 namespace sgp::util {
 namespace {
+
+/// `text` parsed whole as a T, or nothing: from_chars must consume every
+/// character, so trailing text, a leading space or a '+' sign is malformed.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 bool parse_bool(const std::string& text) {
   if (text == "1" || text == "true" || text == "yes" || text == "on") {
@@ -50,23 +65,28 @@ std::string CliArgs::get_string(const std::string& key,
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t def) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw PreconditionError("flag --" + key + " expects an integer, got '" +
-                                it->second + "'");
-  }
+  if (const auto value = parse_whole<std::int64_t>(it->second)) return *value;
+  throw PreconditionError("flag --" + key + " expects an integer, got '" +
+                          it->second + "'");
+}
+
+std::uint64_t CliArgs::get_uint64(const std::string& key,
+                                  std::uint64_t def) const {
+  const auto it = flags_.find(key);
+  if (it == flags_.end()) return def;
+  // from_chars of an unsigned type already rejects any sign.
+  if (const auto value = parse_whole<std::uint64_t>(it->second)) return *value;
+  throw PreconditionError("flag --" + key +
+                          " expects an unsigned 64-bit integer, got '" +
+                          it->second + "'");
 }
 
 double CliArgs::get_double(const std::string& key, double def) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw PreconditionError("flag --" + key + " expects a number, got '" +
-                                it->second + "'");
-  }
+  if (const auto value = parse_whole<double>(it->second)) return *value;
+  throw PreconditionError("flag --" + key + " expects a number, got '" +
+                          it->second + "'");
 }
 
 bool CliArgs::get_bool(const std::string& key, bool def) const {

@@ -13,6 +13,7 @@ namespace sgp::util {
 
 /// Parsed command line. Typed getters fall back to the supplied default when
 /// the flag is absent and throw std::invalid_argument on a malformed value.
+/// A number must be the whole value: "16x" or " 7" is malformed, not 16 or 7.
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -23,6 +24,10 @@ class CliArgs {
                                        const std::string& def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t def) const;
+  /// Unsigned 64-bit decimal with no sign, the full range of a seed:
+  /// "18446744073709551615" parses, "-1" is malformed.
+  [[nodiscard]] std::uint64_t get_uint64(const std::string& key,
+                                         std::uint64_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -245,6 +246,34 @@ TEST_F(DistributedChaosTest, LedgerChargedExactlyOnceDespiteWorkerDeath) {
   publish_to_stream(g, reloaded.release_options(1), ref);
   EXPECT_EQ(file_bytes(out_path_), ref.str())
       << "distributed release drifted from the in-memory session release";
+}
+
+// A session draws each release's seed with splitmix64, so about half of
+// them are at or above 2^63. The coordinator hands the seed to its workers
+// as --seed, which must parse the full unsigned range: otherwise every
+// worker exits with a usage error and the release silently falls back to
+// in-process compute. Seed 7's second release is one such seed.
+TEST_F(DistributedChaosTest, SecondSessionReleaseRunsOnWorkers) {
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  auto opt = options(/*workers=*/2);
+  PublishingSession::Options sopt;
+  sopt.publisher = opt.sharded.publish;
+  sopt.publisher.seed = 7;
+  sopt.total_budget = {10.0, 1e-5};
+  PublishingSession session(sopt, ledger_path_);
+  (void)session.begin_release();
+  opt.sharded.publish = session.begin_release();
+  ASSERT_GE(opt.sharded.publish.seed, std::uint64_t{1} << 63);
+
+  const auto result = publish_distributed(reader, opt, out_path_);
+  EXPECT_EQ(result.workers_lost, 0u);
+  EXPECT_EQ(result.shards_inprocess, 0u);
+  const graph::Graph g =
+      graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
+  std::ostringstream ref(std::ios::binary);
+  publish_to_stream(g, session.release_options(2), ref);
+  EXPECT_EQ(file_bytes(out_path_), ref.str());
+  expect_no_side_files();
 }
 
 // The acceptance scenario end to end through the CLI: `--workers 4` with a

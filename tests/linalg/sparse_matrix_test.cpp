@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -246,6 +249,138 @@ TEST(CsrTest, MultiplyGeneratedZeroColumns) {
   const auto y = a.multiply_generated(0, virtual_filler());
   EXPECT_EQ(y.rows(), 10u);
   EXPECT_EQ(y.cols(), 0u);
+}
+
+// --- the source-major kernel ----------------------------------------------
+
+DenseMatrix virtual_operand(std::size_t rows, std::size_t k) {
+  DenseMatrix b(rows, k);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < k; ++j) b(i, j) = virtual_entry(i, j);
+  }
+  return b;
+}
+
+TEST(SourceMajorKernelTest, WeightedAndUnitWeightsMatchMultiplyDense) {
+  const std::size_t n = 70, k = 19;
+  const DenseMatrix b = virtual_operand(n, k);
+
+  const CsrMatrix weighted = random_symmetric(n, 12);
+  DenseMatrix got(n, k);
+  multiply_generated_into(weighted.scatter_view(), k, virtual_filler(), {},
+                          got.data());
+  EXPECT_EQ(got, weighted.multiply_dense(b));
+
+  // The same pattern with every value 1: an explicit weight span and the
+  // empty (unit) span must both give multiply_dense's bits.
+  std::vector<Triplet> ones;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::uint32_t c : weighted.row_indices(r)) {
+      ones.push_back({static_cast<std::uint32_t>(r), c, 1.0});
+    }
+  }
+  const CsrMatrix unit = CsrMatrix::from_triplets(n, n, ones);
+  const DenseMatrix expected = unit.multiply_dense(b);
+  DenseMatrix explicit_ones(n, k);
+  multiply_generated_into(unit.scatter_view(), k, virtual_filler(), {},
+                          explicit_ones.data());
+  EXPECT_EQ(explicit_ones, expected);
+  SourceMajorView pattern = unit.scatter_view();
+  pattern.weights = {};
+  DenseMatrix implicit_ones(n, k);
+  multiply_generated_into(pattern, k, virtual_filler(), {},
+                          implicit_ones.data());
+  EXPECT_EQ(implicit_ones, expected);
+}
+
+TEST(SourceMajorKernelTest, RectangularIndexMatchesTransposedProduct) {
+  // 40 sources scattering into 9 destinations: out = Tᵀ·B, where T holds
+  // source j's destinations in row j. Tᵀ's multiply_dense sums each cell in
+  // ascending source order too, so the bits match.
+  const std::size_t sources = 40, dests = 9, k = 11;
+  random::Rng rng(5);
+  std::vector<Triplet> by_source;
+  std::vector<Triplet> by_dest;
+  for (std::uint32_t j = 0; j < sources; ++j) {
+    for (std::uint32_t d = 0; d < dests; ++d) {
+      if (rng.next_double() < 0.3) {
+        const double v = rng.next_double() - 0.5;
+        by_source.push_back({j, d, v});
+        by_dest.push_back({d, j, v});
+      }
+    }
+  }
+  const CsrMatrix t = CsrMatrix::from_triplets(sources, dests, by_source);
+  const CsrMatrix t_transposed =
+      CsrMatrix::from_triplets(dests, sources, by_dest);
+  DenseMatrix got(dests, k);
+  multiply_generated_into(t.scatter_view(), k, virtual_filler(), {},
+                          got.data());
+  EXPECT_EQ(got, t_transposed.multiply_dense(virtual_operand(sources, k)));
+}
+
+TEST(SourceMajorKernelTest, AsksOnlyForSourcesWithDestinations) {
+  // Sources 0, 4..6 and 12 have no destination; the others have some.
+  const std::vector<std::size_t> offsets = {0, 0, 2, 3, 5, 5, 5,
+                                            5, 6, 8, 9, 10, 11, 11, 13};
+  const std::vector<std::uint32_t> dest = {0, 2, 1, 0, 3, 2,
+                                           0, 1, 3, 2, 1, 0, 3};
+  const SourceMajorView view{offsets, dest, {}, 4};
+  const std::size_t sources = offsets.size() - 1;
+  const std::size_t k = 6;
+  for (std::size_t threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    for (std::size_t tile_rows : {1u, 3u, 512u}) {
+      std::mutex mu;
+      // Column-block start → how often each source was requested.
+      std::map<std::size_t, std::vector<int>> requests;
+      const TileFiller counting = [&](std::size_t r0, std::size_t r1,
+                                      std::size_t c0, std::size_t c1,
+                                      double* out) {
+        virtual_filler()(r0, r1, c0, c1, out);
+        std::lock_guard<std::mutex> lock(mu);
+        EXPECT_LE(r1 - r0, tile_rows);
+        auto& counts = requests[c0];
+        counts.resize(sources, 0);
+        for (std::size_t j = r0; j < r1; ++j) ++counts[j];
+      };
+      GeneratedTileOptions opts;
+      opts.pool = &pool;
+      opts.tile_rows = tile_rows;
+      opts.tile_cols = 2;
+      DenseMatrix got(4, k);
+      multiply_generated_into(view, k, counting, opts, got.data());
+      ASSERT_EQ(requests.size(), 3u);  // column blocks 0, 2, 4
+      for (const auto& [c0, counts] : requests) {
+        for (std::size_t j = 0; j < sources; ++j) {
+          const int wanted = offsets[j] != offsets[j + 1] ? 1 : 0;
+          EXPECT_EQ(counts[j], wanted)
+              << "source " << j << ", columns from " << c0 << ", tile_rows "
+              << tile_rows << ", " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
+TEST(SourceMajorKernelTest, ValidatesTheIndexAndTheOutput) {
+  const std::vector<std::size_t> offsets = {0, 1, 2};
+  const std::vector<std::uint32_t> dest = {0, 1};
+  const std::vector<double> one_weight = {1.0};
+  const std::vector<std::uint32_t> outside = {0, 2};
+  std::vector<double> out(2 * 3);
+  const auto run = [&](const SourceMajorView& view, std::size_t out_size) {
+    multiply_generated_into(view, 3, virtual_filler(), {},
+                            std::span<double>(out.data(), out_size));
+  };
+  EXPECT_NO_THROW(run({offsets, dest, {}, 2}, 6));
+  EXPECT_THROW(run({offsets, dest, {}, 2}, 5), std::invalid_argument);
+  EXPECT_THROW(run({offsets, dest, one_weight, 2}, 6), std::invalid_argument);
+  EXPECT_THROW(run({offsets, outside, {}, 2}, 6), std::invalid_argument);
+  const std::vector<std::size_t> short_offsets = {0, 1};
+  EXPECT_THROW(run({short_offsets, dest, {}, 2}, 6), std::invalid_argument);
+  const std::vector<std::size_t> decreasing = {0, 2, 1, 2};
+  EXPECT_THROW(run({decreasing, dest, {}, 2}, 6), std::invalid_argument);
 }
 
 TEST(CsrTest, LargeRandomMatvecMatchesDense) {

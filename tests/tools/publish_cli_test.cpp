@@ -1,7 +1,8 @@
-// Usage contract of sgp_publish's out-of-core flags. --threads, --no-resume
-// and --io-attempts configure the shard loop, so an in-memory or
-// --streaming publish must refuse them with exit 2 (usage) and name the
-// flags that select out-of-core publishing, instead of ignoring them.
+// Usage contract of sgp_publish's flags. --threads, --no-resume and
+// --io-attempts configure the shard loop, so an in-memory or --streaming
+// publish must refuse them with exit 2 (usage) and name the flags that
+// select out-of-core publishing, instead of ignoring them. A malformed
+// number is a usage error too.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -74,6 +75,19 @@ TEST_F(PublishCliTest, InMemoryRejectsShardOnlyFlags) {
       EXPECT_FALSE(std::filesystem::exists(release_));
     }
   }
+}
+
+// A number flag must parse whole: "2x" used to publish at m = 2, and a
+// seed of -1 used to wrap to 2^64 - 1. Seeds take the full unsigned range.
+TEST_F(PublishCliTest, MalformedNumbersAreUsageErrors) {
+  for (const char* flags :
+       {"--dim 2x", "--seed 7abc", "--seed -1", "--epsilon 1e"}) {
+    const CliResult result = publish(flags);
+    EXPECT_EQ(result.exit_code, 2) << flags << ": " << result.stderr_text;
+    EXPECT_FALSE(std::filesystem::exists(release_)) << flags;
+  }
+  EXPECT_EQ(publish("--seed 18446744073709551615").exit_code, 0);
+  EXPECT_TRUE(std::filesystem::exists(release_));
 }
 
 TEST_F(PublishCliTest, ShardedPathStillTakesThem) {

@@ -79,6 +79,37 @@ TEST(CliTest, BoolSpellings) {
   }
 }
 
+TEST(CliTest, NumbersMustParseWhole) {
+  const auto args = make({"prog", "--dim", "16x", "--seed", "7abc",
+                          "--epsilon", "0.5e", "--k", " 3"});
+  EXPECT_THROW((void)args.get_int("dim", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_uint64("seed", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("epsilon", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("k", 0), std::invalid_argument);
+}
+
+TEST(CliTest, NegativeIntParses) {
+  const auto args = make({"prog", "--offset", "-12"});
+  EXPECT_EQ(args.get_int("offset", 0), -12);
+}
+
+TEST(CliTest, SeedTakesTheFullUnsignedRange) {
+  const auto args = make({"prog", "--seed", "18446744073709551615"});
+  EXPECT_EQ(args.get_uint64("seed", 0), 18446744073709551615ULL);
+  // Above 2^63: a session's per-release seeds land here about half the time.
+  const auto high = make({"prog", "--seed=16616101746815609346"});
+  EXPECT_EQ(high.get_uint64("seed", 0), 16616101746815609346ULL);
+  EXPECT_EQ(make({"prog"}).get_uint64("seed", 7), 7u);
+}
+
+TEST(CliTest, SeedRejectsSignsAndOverflow) {
+  for (const char* bad : {"-1", "+1", "18446744073709551616", "", "0x10"}) {
+    const auto args = make({"prog", "--seed", bad});
+    EXPECT_THROW((void)args.get_uint64("seed", 0), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+}
+
 TEST(CliTest, LaterValueWins) {
   const auto args = make({"prog", "--k=1", "--k=2"});
   EXPECT_EQ(args.get_int("k", 0), 2);

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (task == "cluster") {
-      const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+      const auto seed = args.get_uint64("seed", 7);
       std::size_t k = static_cast<std::size_t>(args.get_int("clusters", 0));
       if (k == 0) {
         // Pick k from the eigengap of the release's singular values.

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   return sgp::tools::run_tool([&]() -> int {
     sgp::obs::ScopedTimer generate_timer(sgp::obs::names::kToolGenerate);
     generate_timer.attr("model", model);
-    sgp::random::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
+    sgp::random::Rng rng(args.get_uint64("seed", 7));
     sgp::graph::Graph graph;
 
     if (model == "sbm") {

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     opt.projection_dim = static_cast<std::size_t>(args.get_int("dim", 100));
     opt.params = {args.get_double("epsilon", 1.0),
                   args.get_double("delta", 1e-6)};
-    opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    opt.seed = args.get_uint64("seed", 7);
     if (args.get_string("projection", "gaussian") == "achlioptas") {
       opt.projection = sgp::core::ProjectionKind::kAchlioptas;
     }

@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("max-degree", 200));
     const auto degree_bound =
         static_cast<std::size_t>(args.get_int("degree-bound", 0));
-    sgp::random::Rng rng(
-        static_cast<std::uint64_t>(args.get_int("seed", 7)));
+    sgp::random::Rng rng(args.get_uint64("seed", 7));
 
     const int parts = degree_bound > 0 ? 3 : 2;
     const double eps_each = total_eps / parts;
