@@ -1,17 +1,17 @@
 #include "core/distributed_publish.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/projection.hpp"
@@ -39,35 +39,40 @@
 namespace sgp::core {
 namespace {
 
-constexpr char kLeaseMagic[] = "sgp-shard-lease v1";
-
-std::string crc_hex_of(std::string_view bytes) {
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", util::crc32(bytes));
-  return hex;
-}
-
-std::string crc_hex_of_u32(std::uint32_t crc) {
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", crc);
-  return hex;
-}
+constexpr char kLogMagic[] = "sgp-shard-checkpoint v1";
 
 std::string with_crc(const std::string& body) {
-  return body + " crc " + crc_hex_of(body);
+  return body + " crc " + util::crc32_hex(body);
 }
 
-/// Validates a CRC-guarded record line; on success strips the trailer into
-/// `body`. A torn or bit-flipped line simply compares unequal.
-bool crc_line_ok(const std::string& line, std::string& body) {
-  const std::size_t pos = line.rfind(" crc ");
-  if (pos == std::string::npos) return false;
-  body = line.substr(0, pos);
-  return with_crc(body) == line;
+/// The log's config record, which ties the log and the workers' side files
+/// to one exact publication: every knob that changes output bytes or shard
+/// boundaries is included, so state from a different run is never resumed.
+std::string shard_config_line(const ShardedPublishOptions& options,
+                              std::size_t num_nodes,
+                              std::size_t projection_dim,
+                              const NoiseCalibration& calibration,
+                              const ShardPlan& plan) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "config nodes " << num_nodes << " dim " << projection_dim
+      << " shard_rows " << plan.shard_rows << " seed "
+      << options.publish.seed << " epsilon "
+      << options.publish.params.epsilon << " delta "
+      << options.publish.params.delta << " sigma " << calibration.sigma
+      << " sensitivity " << calibration.sensitivity << " projection "
+      << to_string(options.publish.projection) << " rng "
+      << to_string(projection_rng_for(
+             options.publish.projection,
+             random::resolve_normal_kernel(options.publish.kernel)));
+  return with_crc(out.str());
 }
 
-std::string shard_payload_path(const std::string& out_path, std::size_t s) {
-  return out_path + ".shard." + std::to_string(s);
+/// The side file a worker commits shard `s` to. The config CRC in the name
+/// keeps a file written under other options from ever being opened.
+std::string side_file_path(const std::string& out_path,
+                           const std::string& config_crc, std::size_t s) {
+  return out_path + ".shard." + config_crc + "." + std::to_string(s);
 }
 
 std::string progress_path_for(const std::string& out_path, std::size_t worker,
@@ -76,58 +81,113 @@ std::string progress_path_for(const std::string& out_path, std::size_t worker,
          std::to_string(gen);
 }
 
-std::uint64_t payload_bytes_for(const ShardPlan& plan, std::size_t s,
-                                std::size_t m) {
+bool is_digits(std::string_view s) {
+  return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+}
+
+/// Whether `rest` — a file name with the release's name cut off its front —
+/// names a file the workers of some run leave: a side file
+/// `.shard.<crc>.<s>` or its `.tmp`, or a progress file `.w<slot>.g<gen>`.
+bool is_worker_file(std::string_view rest) {
+  if (rest.starts_with(".shard.")) {
+    rest.remove_prefix(7);
+    if (rest.ends_with(".tmp")) rest.remove_suffix(4);
+    const auto hex = [](unsigned char c) { return std::isxdigit(c) != 0; };
+    return rest.size() > 9 && rest[8] == '.' &&
+           std::all_of(rest.begin(), rest.begin() + 8, hex) &&
+           is_digits(rest.substr(9));
+  }
+  if (rest.starts_with(".w")) {
+    rest.remove_prefix(2);
+    const std::size_t g = rest.find(".g");
+    return g != std::string_view::npos && is_digits(rest.substr(0, g)) &&
+           is_digits(rest.substr(g + 2));
+  }
+  return false;
+}
+
+/// Deletes every side and progress file next to the release, whatever run
+/// or options wrote it: none is ever read across runs.
+void remove_worker_files(const std::string& out_path) {
+  const std::filesystem::path out(out_path);
+  const std::string release = out.filename().string();
+  std::vector<std::filesystem::path> stale;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           out.has_parent_path() ? out.parent_path() : ".", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with(release) &&
+        is_worker_file(std::string_view(name).substr(release.size()))) {
+      stale.push_back(entry.path());
+    }
+  }
+  for (const auto& path : stale) std::filesystem::remove(path, ec);
+}
+
+/// Bytes of shard `s`'s rows: its side file's size, and its share of the
+/// release.
+std::uint64_t shard_bytes(const ShardPlan& plan, std::size_t s,
+                          std::size_t m) {
   const auto [r0, r1] = plan.shard_range(s);
   return static_cast<std::uint64_t>(r1 - r0) * m * sizeof(double);
 }
 
-/// Reads a payload side file and returns its CRC-32 when it exists with
-/// exactly `expected_bytes` bytes; nullopt otherwise. Payloads are written
-/// to a temp name and renamed, so existence already implies a complete
-/// write; the size check additionally rejects stale files left by an
-/// earlier, differently-shaped run.
-std::optional<std::uint32_t> verify_payload(const std::string& path,
-                                            std::uint64_t expected_bytes) {
+/// Size of the release file once shards [0, s] are in it.
+std::uint64_t release_size_through(const ShardPlan& plan, std::size_t s,
+                                   std::uint64_t header_bytes, std::size_t m) {
+  return header_bytes +
+         static_cast<std::uint64_t>(plan.shard_range(s).second) * m *
+             sizeof(double);
+}
+
+/// The log record that vouches for shard `s`.
+std::string shard_record(const ShardPlan& plan, std::size_t s,
+                         std::uint64_t header_bytes, std::size_t m) {
+  const auto [r0, r1] = plan.shard_range(s);
+  std::ostringstream out;
+  out << "shard " << s << " rows " << r0 << " " << r1 << " bytes "
+      << release_size_through(plan, s, header_bytes, m);
+  return with_crc(out.str());
+}
+
+/// Shards a prior run's log at `log_path` vouches for in the release at
+/// `out_path`: the longest prefix of records equal to what this run would
+/// write — a torn tail, a bit flip (CRC mismatch) or a config drift compare
+/// unequal and end it. The release must still begin with this run's
+/// `header` and hold every logged byte; a file replaced or cut short is not
+/// trusted at all, and the answer is 0.
+std::size_t logged_shards(const std::string& log_path,
+                          const std::string& config, const ShardPlan& plan,
+                          const std::string& header, std::size_t m,
+                          const std::string& out_path) {
+  std::ifstream in(log_path, std::ios::binary);
+  std::string line;
+  if (!std::getline(in, line) || line != kLogMagic) return 0;
+  if (!std::getline(in, line) || line != config) return 0;
+  std::size_t logged = 0;
+  while (logged < plan.num_shards() && std::getline(in, line) &&
+         line == shard_record(plan, logged, header.size(), m)) {
+    ++logged;
+  }
+  if (logged == 0) return 0;
   std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec || size != expected_bytes) return std::nullopt;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
-  if (bytes.size() != expected_bytes) return std::nullopt;
-  return util::crc32(bytes);
-}
-
-std::string lease_record(std::size_t s, std::size_t worker, std::size_t gen) {
-  std::ostringstream out;
-  out << "lease " << s << " worker " << worker << " gen " << gen;
-  return with_crc(out.str());
-}
-
-std::string reclaim_record(std::size_t s, std::size_t worker,
-                           const char* reason) {
-  std::ostringstream out;
-  out << "reclaim " << s << " worker " << worker << " reason " << reason;
-  return with_crc(out.str());
-}
-
-std::string complete_record(std::size_t s, std::uint64_t bytes,
-                            std::uint32_t payload_crc) {
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", payload_crc);
-  std::ostringstream out;
-  out << "complete " << s << " bytes " << bytes << " payload " << hex;
-  return with_crc(out.str());
+  const std::uintmax_t size = std::filesystem::file_size(out_path, ec);
+  if (ec || size < release_size_through(plan, logged - 1, header.size(), m)) {
+    return 0;
+  }
+  std::ifstream release(out_path, std::ios::binary);
+  std::string head(header.size(), '\0');
+  release.read(head.data(), static_cast<std::streamsize>(head.size()));
+  return release.good() && head == header ? logged : 0;
 }
 
 /// Commits a payload tile atomically: write to `<path>.tmp`, flush, rename.
-/// The rename is the commit point the coordinator's verifier observes.
-/// Takes the release's PrivacyParams (and re-validates them) so payload
-/// bytes cannot leave through a signature with no privacy context — the
-/// sgp-lint R8 privacy-flow contract.
+/// The rename is the commit point the coordinator observes. Takes the
+/// release's PrivacyParams (and re-validates them) so payload bytes cannot
+/// leave through a signature with no privacy context — the sgp-lint R8
+/// privacy-flow contract.
 void write_payload_file(const std::string& path,
                         const dp::PrivacyParams& params,
                         const std::vector<double>& tile) {
@@ -150,46 +210,6 @@ void write_payload_file(const std::string& path,
     throw util::IoError("distributed publish: cannot rename " + tmp + ": " +
                         ec.message());
   }
-}
-
-/// Shards proven complete by a prior run's lease file: `complete` records
-/// under a matching magic + config whose payload side files still verify
-/// (size and CRC). Returns shard → payload CRC. Scanning stops at the
-/// first structurally invalid line (torn tail); a complete record whose
-/// payload has since vanished is skipped, not fatal — the shard is simply
-/// recomputed.
-std::map<std::size_t, std::uint32_t> resumable_shards(
-    const std::string& lease_path, const std::string& config,
-    const ShardPlan& plan, std::size_t m, const std::string& out_path) {
-  std::map<std::size_t, std::uint32_t> done;
-  std::ifstream in(lease_path, std::ios::binary);
-  if (!in.good()) return done;
-  std::string line;
-  if (!std::getline(in, line) || line != kLeaseMagic) return done;
-  if (!std::getline(in, line) || line != config) return done;
-  while (std::getline(in, line)) {
-    std::string body;
-    if (!crc_line_ok(line, body)) break;
-    std::istringstream fields(body);
-    std::string kind;
-    fields >> kind;
-    if (kind == "lease" || kind == "reclaim") continue;
-    if (kind != "complete") break;
-    std::size_t s = 0;
-    std::uint64_t bytes = 0;
-    std::string bytes_kw, payload_kw, recorded_hex;
-    fields >> s >> bytes_kw >> bytes >> payload_kw >> recorded_hex;
-    if (!fields || bytes_kw != "bytes" || payload_kw != "payload") break;
-    if (s >= plan.num_shards() || bytes != payload_bytes_for(plan, s, m)) {
-      break;
-    }
-    const auto crc = verify_payload(shard_payload_path(out_path, s), bytes);
-    if (!crc) continue;
-    char hex[16];
-    std::snprintf(hex, sizeof(hex), "%08x", *crc);
-    if (recorded_hex == hex) done[s] = *crc;
-  }
-  return done;
 }
 
 std::string format_double(double v) {
@@ -224,24 +244,26 @@ std::string sidecar_path_for_pid(const std::string& prefix) {
 DistributedPublishResult publish_distributed(
     const graph::EdgeListShardReader& reader,
     const DistributedPublishOptions& options, const std::string& out_path) {
+  const ShardedPublishOptions& sharded = options.sharded;
   const std::size_t n = reader.num_nodes();
-  const std::size_t m = options.sharded.publish.projection_dim;
-  util::require(n >= 1, "publish_distributed: graph must have nodes");
+  const std::size_t m = sharded.publish.projection_dim;
+  util::require(n >= 1, "shard publish: graph must have nodes");
   util::require(m >= 1 && m <= n,
-                "publish_distributed: projection_dim must be in [1, n]");
+                "shard publish: projection_dim must be in [1, n]");
   util::require(options.lease_timeout_seconds > 0.0,
-                "publish_distributed: lease timeout must be positive");
-  options.sharded.publish.params.validate();
-  const std::size_t workers = std::max<std::size_t>(1, options.workers);
+                "shard publish: lease timeout must be positive");
+  sharded.publish.params.validate();
+  const std::size_t workers =
+      options.worker_program.empty() ? 0 : options.workers;
 
-  const ShardPlan plan = plan_shards(n, options.sharded.shard_rows);
-  const NoiseCalibration calibration = calibrate_noise(
-      m, options.sharded.publish.params,
-      options.sharded.publish.analytic_calibration,
-      options.sharded.publish.delta_split);
+  const ShardPlan plan = plan_shards(n, sharded.shard_rows);
+  const NoiseCalibration calibration =
+      calibrate_noise(m, sharded.publish.params,
+                      sharded.publish.analytic_calibration,
+                      sharded.publish.delta_split);
   const std::string config =
-      shard_config_line(options.sharded, n, m, calibration, plan);
-  const std::string config_crc = crc_hex_of(config);
+      shard_config_line(sharded, n, m, calibration, plan);
+  const std::string config_crc = util::crc32_hex(config);
 
   // The observability plane: mint the release trace id and open the
   // coordinator's sidecar before any span or lifecycle event fires. The
@@ -259,81 +281,140 @@ DistributedPublishResult publish_distributed(
                       sidecar_info);
   }
 
-  obs::ScopedTimer timer(obs::names::kPublishDistributed);
+  obs::ScopedTimer timer(workers == 0 ? obs::names::kPublishSharded
+                                      : obs::names::kPublishDistributed);
   timer.attr("n", n).attr("m", m).attr("shards", plan.num_shards())
       .attr("workers", workers);
   // The span every worker forest re-attaches under at merge time.
   const std::uint64_t parent_span = obs::current_span_id();
-  obs::gauge(obs::names::kPublishWorkers).set(static_cast<double>(workers));
+  if (workers > 0) {
+    obs::gauge(obs::names::kPublishWorkers).set(static_cast<double>(workers));
+  }
   obs::gauge(obs::names::kPublishShardRows)
       .set(static_cast<double>(plan.shard_rows));
   obs::gauge(obs::names::kPublishSigma).set(calibration.sigma);
   obs::gauge(obs::names::kGraphNodes).set(static_cast<double>(n));
 
-  std::ostringstream header;
-  // The tag must name the normal mapping the shard tiles are generated
+  // The header is rendered up front: the log's byte offsets need its size.
+  // Its rng tag must name the normal mapping the shard tiles are generated
   // with — the same resolution the workers receive via --kernel.
-  write_published_header(header, n, m, options.sharded.publish.params,
-                         calibration, options.sharded.publish.projection,
+  std::ostringstream header_out;
+  write_published_header(header_out, n, m, sharded.publish.params,
+                         calibration, sharded.publish.projection,
                          projection_rng_for(
-                             options.sharded.publish.projection,
+                             sharded.publish.projection,
                              random::resolve_normal_kernel(
-                                 options.sharded.publish.kernel)));
-  const std::string header_bytes = header.str();
+                                 sharded.publish.kernel)));
+  const std::string header = header_out.str();
 
-  const std::string lease_path = out_path + ".lease";
-  std::map<std::size_t, std::uint32_t> resumed;
-  if (options.sharded.resume) {
-    resumed = resumable_shards(lease_path, config, plan, m, out_path);
+  // Resume: keep the logged prefix the release still holds, cut the file
+  // back to it, and fill on from there.
+  const std::string log_path = out_path + ".ckpt";
+  std::size_t next = 0;  // the first shard not yet in the release
+  if (sharded.resume) {
+    next = logged_shards(log_path, config, plan, header, m, out_path);
+    if (next > 0) {
+      std::error_code ec;
+      std::filesystem::resize_file(
+          out_path, release_size_through(plan, next - 1, header.size(), m),
+          ec);
+      if (ec) {
+        throw util::IoError("shard publish: cannot truncate " + out_path +
+                            " to the last logged shard: " + ec.message());
+      }
+    }
   }
-  std::set<std::size_t> completed;
-  for (const auto& [s, crc] : resumed) completed.insert(s);
 
   DistributedPublishResult result;
   result.num_nodes = n;
   result.shards_total = plan.num_shards();
-  result.shards_resumed = completed.size();
+  result.shards_resumed = next;
   result.trace_id = trace_id;
   result.calibration = calibration;
-  if (!completed.empty()) {
-    obs::counter(obs::names::kPublishShardsResumed).add(completed.size());
-    for (const std::size_t s : completed) {
+  if (next > 0) {
+    obs::counter(obs::names::kPublishShardsResumed).add(next);
+    for (std::size_t s = 0; s < next; ++s) {
       obs::log_event(obs::names::kEventShardResumed,
                      {{"shard", std::to_string(s)}});
     }
   }
 
-  // Rewrite the lease log: magic, config, then the completes that survived
-  // verification. Every record from here on is fsynced before it is
-  // trusted (util/durable.hpp).
-  util::DurableAppender lease;
-  lease.open(lease_path, /*truncate=*/true);
-  {
-    std::string prefix = std::string(kLeaseMagic) + '\n' + config + '\n';
-    for (const auto& [s, crc] : resumed) {
-      prefix += complete_record(s, payload_bytes_for(plan, s, m), crc) + '\n';
-    }
-    lease.append(prefix);
+  std::ofstream out(out_path, next > 0 ? std::ios::binary | std::ios::app
+                                       : std::ios::binary | std::ios::trunc);
+  if (!out.good()) {
+    throw util::IoError("shard publish: cannot open " + out_path);
   }
+  if (next == 0) {
+    out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  }
+
+  // The log is rewritten up to the resume point (dropping any torn tail),
+  // then appended to shard by shard.
+  util::DurableAppender log;
+  try {
+    log.open(log_path, /*truncate=*/true);
+    std::string prefix = std::string(kLogMagic) + '\n' + config + '\n';
+    for (std::size_t s = 0; s < next; ++s) {
+      prefix += shard_record(plan, s, header.size(), m) + '\n';
+    }
+    log.append(prefix);
+  } catch (const util::IoError& e) {
+    throw util::IoError("shard publish: shard log write failed: " +
+                        std::string(e.what()));
+  }
+
+  std::optional<util::ThreadPool> local_pool;
+  if (sharded.threads > 0) local_pool.emplace(sharded.threads);
+  util::ThreadPool& pool = local_pool ? *local_pool : util::global_pool();
 
   static obs::Counter& shards_done = obs::counter(obs::names::kPublishShards);
   static obs::Counter& reclaimed_ctr =
       obs::counter(obs::names::kPublishLeasesReclaimed);
 
-  auto append_lease = [&](const std::string& record) {
-    util::retry_with_backoff(options.retry, "lease append", [&] {
-      util::fault_point(util::fault_points::kLeaseAcquire);
-      lease.append_line(record);
-    });
-  };
-  auto mark_complete = [&](std::size_t s, std::uint32_t crc) {
-    append_lease(complete_record(s, payload_bytes_for(plan, s, m), crc));
-    completed.insert(s);
+  // The one way a shard enters the release: its rows, flushed, then the log
+  // record that vouches for them, synced. A record never precedes its rows,
+  // and resume trusts the log only while the file holds every logged byte.
+  auto append = [&](const auto& write_rows) {
+    util::fault_point(util::fault_points::kIoShardWrite);
+    write_rows();
+    out.flush();
+    if (!out.good()) {
+      throw util::IoError("shard publish: write failed on shard " +
+                          std::to_string(next) + " of " + out_path);
+    }
+    util::fault_point(util::fault_points::kIoShardCheckpoint);
+    log.append_line(shard_record(plan, next, header.size(), m));
     shards_done.add();
     obs::log_event(obs::names::kEventShardCommitted,
-                   {{"shard", std::to_string(s)},
-                    {"bytes", std::to_string(payload_bytes_for(plan, s, m))},
-                    {"payload", crc_hex_of_u32(crc)}});
+                   {{"shard", std::to_string(next)},
+                    {"bytes", std::to_string(shard_bytes(plan, next, m))}});
+    ++next;
+  };
+
+  // Where the rows of each shard past `next` come from: the coordinator
+  // computes its own shards when the fill reaches them; a leased shard waits
+  // for its worker; a committed one has a complete side file.
+  enum class Source : unsigned char { kOwn, kLeased, kCommitted };
+  std::vector<Source> source(plan.num_shards(), Source::kOwn);
+
+  std::vector<double> tile;
+  // Appends shards in order until one is still leased to a worker.
+  auto fill = [&] {
+    while (next < plan.num_shards() && source[next] != Source::kLeased) {
+      if (source[next] == Source::kOwn) {
+        compute_shard(reader, sharded, calibration, plan, next, pool, tile);
+        ++result.shards_inprocess;
+        append([&] { write_published_doubles(out, tile); });
+      } else {
+        const std::string path = side_file_path(out_path, config_crc, next);
+        {
+          std::ifstream rows(path, std::ios::binary);
+          append([&] { out << rows.rdbuf(); });
+        }
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+      }
+    }
   };
 
   struct Slot {
@@ -348,7 +429,6 @@ DistributedPublishResult publish_distributed(
     std::chrono::steady_clock::time_point last_activity;
   };
   std::vector<Slot> slots(workers);
-  std::vector<std::size_t> inprocess;
   const std::size_t spawn_budget =
       std::max<std::size_t>(1, options.retry.max_attempts);
 
@@ -369,28 +449,27 @@ DistributedPublishResult publish_distributed(
                "--dim",
                std::to_string(m),
                "--epsilon",
-               format_double(options.sharded.publish.params.epsilon),
+               format_double(sharded.publish.params.epsilon),
                "--delta",
-               format_double(options.sharded.publish.params.delta),
+               format_double(sharded.publish.params.delta),
                "--delta-split",
-               format_double(options.sharded.publish.delta_split),
+               format_double(sharded.publish.delta_split),
                "--seed",
-               std::to_string(options.sharded.publish.seed),
+               std::to_string(sharded.publish.seed),
                "--projection",
-               to_string(options.sharded.publish.projection),
+               to_string(sharded.publish.projection),
                // The coordinator resolves the kernel once and hands workers
                // the resolved name, so a worker can never re-resolve kAuto
                // differently (its environment is not trusted to match).
                "--kernel",
                std::string(random::to_string(
-                   random::resolve_normal_kernel(
-                       options.sharded.publish.kernel))),
+                   random::resolve_normal_kernel(sharded.publish.kernel))),
                "--shard-rows",
                std::to_string(plan.shard_rows),
                "--threads",
-               std::to_string(options.sharded.threads),
+               std::to_string(sharded.threads),
                "--io-attempts",
-               std::to_string(options.sharded.io_retry.max_attempts)};
+               std::to_string(sharded.io_retry.max_attempts)};
     std::string csv;
     for (std::size_t s : slot.pending) {
       if (!csv.empty()) csv += ',';
@@ -398,7 +477,7 @@ DistributedPublishResult publish_distributed(
     }
     sp.argv.push_back("--shards");
     sp.argv.push_back(csv);
-    if (!options.sharded.publish.analytic_calibration) {
+    if (!sharded.publish.analytic_calibration) {
       sp.argv.push_back("--no-analytic");
     }
     if (options.id_policy == graph::IdPolicy::kPreserve) {
@@ -429,7 +508,6 @@ DistributedPublishResult publish_distributed(
                     {"gen", std::to_string(slot.gen)},
                     {"pid", std::to_string(slot.proc->pid())}});
     for (std::size_t s : slot.pending) {
-      append_lease(lease_record(s, slot.id, slot.gen));
       obs::log_event(obs::names::kEventShardLeased,
                      {{"shard", std::to_string(s)},
                       {"worker", std::to_string(slot.id)},
@@ -439,8 +517,8 @@ DistributedPublishResult publish_distributed(
   };
 
   // Spawn (or re-spawn) a slot; once its generation budget is spent, its
-  // shards fall back to the coordinator's own in-process queue — the
-  // release always completes, whatever the workers do.
+  // shards fall back to the coordinator — the release always completes,
+  // whatever the workers do.
   auto spawn_or_fallback = [&](Slot& slot) {
     while (!slot.pending.empty() && slot.spawn_attempts < spawn_budget) {
       ++slot.spawn_attempts;
@@ -448,29 +526,25 @@ DistributedPublishResult publish_distributed(
       util::sleep_for_seconds(
           util::retry_backoff_seconds(options.retry, slot.spawn_attempts));
     }
-    if (!slot.pending.empty()) {
-      for (std::size_t s : slot.pending) {
-        append_lease(reclaim_record(s, slot.id, "spawn"));
-        obs::log_event(obs::names::kEventLeaseReclaimed,
-                       {{"shard", std::to_string(s)},
-                        {"worker", std::to_string(slot.id)},
-                        {"reason", "spawn"}});
-      }
-      inprocess.insert(inprocess.end(), slot.pending.begin(),
-                       slot.pending.end());
-      slot.pending.clear();
+    for (std::size_t s : slot.pending) {
+      source[s] = Source::kOwn;
+      obs::log_event(obs::names::kEventLeaseReclaimed,
+                     {{"shard", std::to_string(s)},
+                      {"worker", std::to_string(slot.id)},
+                      {"reason", "spawn"}});
     }
+    slot.pending.clear();
   };
 
-  // Completion is observed through the payload files themselves — the
-  // rename commit plus size/CRC verification — never through worker exit
-  // codes or progress-file claims.
+  // A worker's shard is committed once its side file exists with the exact
+  // size: the rename is the commit, never an exit code or a progress claim.
   auto harvest = [&](Slot& slot) {
     for (auto it = slot.pending.begin(); it != slot.pending.end();) {
-      const auto crc = verify_payload(shard_payload_path(out_path, *it),
-                                      payload_bytes_for(plan, *it, m));
-      if (crc) {
-        mark_complete(*it, *crc);
+      std::error_code ec;
+      const std::uintmax_t size = std::filesystem::file_size(
+          side_file_path(out_path, config_crc, *it), ec);
+      if (!ec && size == shard_bytes(plan, *it, m)) {
+        source[*it] = Source::kCommitted;
         it = slot.pending.erase(it);
         slot.last_activity = std::chrono::steady_clock::now();
       } else {
@@ -479,147 +553,94 @@ DistributedPublishResult publish_distributed(
     }
   };
 
-  std::size_t next_slot = 0;
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    if (completed.count(s) != 0) continue;
-    slots[next_slot % workers].pending.push_back(s);
-    ++next_slot;
-  }
-  for (std::size_t w = 0; w < workers; ++w) {
-    slots[w].id = w;
-    if (options.worker_program.empty()) {
-      inprocess.insert(inprocess.end(), slots[w].pending.begin(),
-                       slots[w].pending.end());
-      slots[w].pending.clear();
-    } else {
+  auto monitor = [&](Slot& slot) {
+    if (!slot.proc) return;
+    harvest(slot);
+    std::error_code ec;
+    const auto psize = std::filesystem::file_size(slot.progress_path, ec);
+    if (!ec && psize != slot.progress_size) {
+      slot.progress_size = psize;
+      slot.last_activity = std::chrono::steady_clock::now();
+    }
+    const auto status = slot.proc->try_wait();
+    if (status.has_value()) {
+      const std::int64_t worker_pid = slot.proc->pid();
+      slot.proc.reset();
+      // One more harvest: a side-file rename can race the exit we just
+      // observed, and a worker killed between the rename and its done note
+      // (the second proc.worker.exit site) left committed work.
+      harvest(slot);
+      obs::log_event(obs::names::kEventWorkerExit,
+                     {{"worker", std::to_string(slot.id)},
+                      {"gen", std::to_string(slot.gen)},
+                      {"pid", std::to_string(worker_pid)},
+                      {"clean", status->clean() ? "1" : "0"}});
+      if (!status->clean() || !slot.pending.empty()) {
+        ++result.workers_lost;
+      }
+      if (!slot.pending.empty()) {
+        const char* reason = slot.timed_out ? "timeout" : "died";
+        for (std::size_t s : slot.pending) {
+          ++result.leases_reclaimed;
+          reclaimed_ctr.add();
+          obs::log_event(obs::names::kEventLeaseReclaimed,
+                         {{"shard", std::to_string(s)},
+                          {"worker", std::to_string(slot.id)},
+                          {"reason", reason}});
+        }
+        slot.timed_out = false;
+        ++slot.gen;
+        spawn_or_fallback(slot);
+      }
+    } else if (std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - slot.last_activity)
+                   .count() > options.lease_timeout_seconds) {
+      // Presumed dead: no side file landed and the heartbeat file stopped
+      // growing. Kill hard; the next poll reaps it as unclean.
+      slot.timed_out = true;
+      slot.proc->kill_hard();
+    }
+  };
+
+  // Side and progress files of earlier runs are never trusted: every shard
+  // past the logged prefix is recomputed.
+  remove_worker_files(out_path);
+  if (workers > 0) {
+    for (std::size_t s = next; s < plan.num_shards(); ++s) {
+      slots[(s - next) % workers].pending.push_back(s);
+      source[s] = Source::kLeased;
+    }
+    for (std::size_t w = 0; w < workers; ++w) {
+      slots[w].id = w;
       spawn_or_fallback(slots[w]);
     }
   }
 
-  while (true) {
+  // Poll the workers and fill the release until every shard is in and every
+  // worker has exited.
+  for (;;) {
     bool any_live = false;
     for (Slot& slot : slots) {
-      if (!slot.proc) continue;
-      any_live = true;
-      harvest(slot);
-      std::error_code ec;
-      const auto psize = std::filesystem::file_size(slot.progress_path, ec);
-      if (!ec && psize != slot.progress_size) {
-        slot.progress_size = psize;
-        slot.last_activity = std::chrono::steady_clock::now();
-      }
-      const auto status = slot.proc->try_wait();
-      if (status.has_value()) {
-        const std::int64_t worker_pid = slot.proc->pid();
-        slot.proc.reset();
-        // One more harvest: a payload rename can race the exit we just
-        // observed, and a worker killed between the rename and its done
-        // record (the second proc.worker.exit site) left verifiable work.
-        harvest(slot);
-        obs::log_event(obs::names::kEventWorkerExit,
-                       {{"worker", std::to_string(slot.id)},
-                        {"gen", std::to_string(slot.gen)},
-                        {"pid", std::to_string(worker_pid)},
-                        {"clean", status->clean() ? "1" : "0"}});
-        if (!status->clean() || !slot.pending.empty()) {
-          ++result.workers_lost;
-        }
-        if (!slot.pending.empty()) {
-          const char* reason = slot.timed_out ? "timeout" : "died";
-          for (std::size_t s : slot.pending) {
-            append_lease(reclaim_record(s, slot.id, reason));
-            ++result.leases_reclaimed;
-            reclaimed_ctr.add();
-            obs::log_event(obs::names::kEventLeaseReclaimed,
-                           {{"shard", std::to_string(s)},
-                            {"worker", std::to_string(slot.id)},
-                            {"reason", reason}});
-          }
-          slot.timed_out = false;
-          ++slot.gen;
-          spawn_or_fallback(slot);
-        }
-      } else if (std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - slot.last_activity)
-                     .count() > options.lease_timeout_seconds) {
-        // Presumed dead: no payload landed and the heartbeat file stopped
-        // growing. Kill hard; the next iteration reaps it as unclean.
-        slot.timed_out = true;
-        slot.proc->kill_hard();
-      }
+      monitor(slot);
+      any_live = any_live || slot.proc.has_value();
     }
+    const std::size_t filled = next;
+    fill();
     if (!any_live) break;
-    util::sleep_for_seconds(options.poll_interval_seconds);
+    if (next == filled) util::sleep_for_seconds(options.poll_interval_seconds);
   }
+  SGP_CHECK(next == plan.num_shards(),
+            "shard publish: finished with shards missing from the release");
 
-  if (!inprocess.empty()) {
-    std::optional<util::ThreadPool> local_pool;
-    if (options.sharded.threads > 0) {
-      local_pool.emplace(options.sharded.threads);
-    }
-    util::ThreadPool& pool = local_pool ? *local_pool : util::global_pool();
-    std::vector<double> tile;
-    std::sort(inprocess.begin(), inprocess.end());
-    for (std::size_t s : inprocess) {
-      const auto [r0, r1] = plan.shard_range(s);
-      obs::ScopedTimer shard_timer(obs::names::kPublishShard);
-      shard_timer.attr("shard", s).attr("rows", r1 - r0);
-      const graph::ShardRows shard = util::retry_with_backoff(
-          options.sharded.io_retry, "shard load",
-          [&] { return reader.load_shard(r0, r1); });
-      compute_shard_tile(shard, r0, r1, options.sharded.publish, calibration,
-                         pool, tile);
-      const std::string path = shard_payload_path(out_path, s);
-      write_payload_file(path, options.sharded.publish.params, tile);
-      const auto crc = verify_payload(path, payload_bytes_for(plan, s, m));
-      SGP_CHECK(crc.has_value(),
-                "publish_distributed: in-process payload failed verification");
-      mark_complete(s, *crc);
-      ++result.shards_inprocess;
-    }
-  }
-
-  SGP_CHECK(completed.size() == plan.num_shards(),
-            "publish_distributed: finished with incomplete shards");
-
-  // Assemble the release: header then payloads in shard order — the exact
-  // byte stream publish_sharded produces in one process.
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) {
-    throw util::IoError("publish_distributed: cannot open " + out_path);
-  }
-  out.write(header_bytes.data(),
-            static_cast<std::streamsize>(header_bytes.size()));
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    util::fault_point(util::fault_points::kIoShardWrite);
-    std::ifstream payload(shard_payload_path(out_path, s), std::ios::binary);
-    if (!payload.good()) {
-      throw util::IoError("publish_distributed: missing payload for shard " +
-                          std::to_string(s));
-    }
-    out << payload.rdbuf();
-    if (!out.good()) {
-      throw util::IoError("publish_distributed: write failed on shard " +
-                          std::to_string(s) + " of " + out_path);
-    }
-  }
   out.close();
   if (!out.good()) {
-    throw util::IoError("publish_distributed: close failed on " + out_path);
+    throw util::IoError("shard publish: close failed on " + out_path);
   }
-
-  // Publication is complete; drop every side file the protocol used.
-  lease.close();
+  log.close();
+  // Publication is complete; drop the log and every file the workers used.
   std::error_code ec;
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    std::filesystem::remove(shard_payload_path(out_path, s), ec);
-  }
-  for (const Slot& slot : slots) {
-    for (std::size_t g = 0; g <= slot.gen; ++g) {
-      std::filesystem::remove(progress_path_for(out_path, slot.id, g), ec);
-    }
-  }
-  std::filesystem::remove(lease_path, ec);
+  std::filesystem::remove(log_path, ec);
+  remove_worker_files(out_path);
   return result;
 }
 
@@ -663,7 +684,7 @@ int run_publish_worker(const util::CliArgs& args) {
   // a worker whose own derivation disagrees would publish different bytes,
   // so it must refuse rather than contribute a payload.
   const std::string config = shard_config_line(opt, n, m, calibration, plan);
-  const std::string derived_crc = crc_hex_of(config);
+  const std::string derived_crc = util::crc32_hex(config);
   const std::string expected_crc = args.get_string("config-crc", "");
   if (expected_crc != derived_crc) {
     throw util::ParseError("worker: config drift (coordinator crc '" +
@@ -711,6 +732,7 @@ int run_publish_worker(const util::CliArgs& args) {
       shards.push_back(s);
     }
   }
+  args.reject_unread();
 
   // Heartbeats are liveness signals, not durability records: a flushed
   // stream is enough, because the coordinator only watches the file grow
@@ -739,19 +761,10 @@ int run_publish_worker(const util::CliArgs& args) {
                    {{"shard", std::to_string(s)},
                     {"worker", std::to_string(worker_id)}});
 
-    {
-      obs::ScopedTimer shard_timer(obs::names::kPublishShard);
-      const auto [r0, r1] = plan.shard_range(s);
-      shard_timer.attr("shard", s).attr("rows", r1 - r0);
-      const graph::ShardRows shard = util::retry_with_backoff(
-          opt.io_retry, "shard load",
-          [&] { return reader.load_shard(r0, r1); });
-      compute_shard_tile(shard, r0, r1, opt.publish, calibration, pool, tile);
-
-      util::fault_point(util::fault_points::kIoShardWrite);
-      write_payload_file(shard_payload_path(out_path, s),
-                         opt.publish.params, tile);
-    }
+    compute_shard(reader, opt, calibration, plan, s, pool, tile);
+    util::fault_point(util::fault_points::kIoShardWrite);
+    write_payload_file(side_file_path(out_path, derived_crc, s),
+                       opt.publish.params, tile);
     // The payload just committed (rename). Flush the truthful record of it
     // — span, counters, done event — BEFORE the second fault site, so a
     // worker killed post-commit leaves a sidecar whose contents match
@@ -761,7 +774,7 @@ int run_publish_worker(const util::CliArgs& args) {
                     {"worker", std::to_string(worker_id)}});
     obs::flush_sidecar();
     // Chaos site 2: death after the payload commit but before the done
-    // note — the coordinator must salvage the verified payload instead of
+    // note — the coordinator must keep the committed payload instead of
     // recomputing it.
     util::fault_point(util::fault_points::kProcWorkerExit);
     progress << with_crc("done " + std::to_string(s)) << '\n';

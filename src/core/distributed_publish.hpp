@@ -1,42 +1,53 @@
-// Fault-tolerant multi-process publication: a coordinator, N worker
-// processes, and a durable lease file.
+// The shard coordinator: the one publisher of out-of-core releases, with
+// zero or more worker processes.
 //
-// The mechanism's row-separability (core/sharded_publish.hpp) already makes
-// shards independent; this layer exploits that across *processes*. The
-// coordinator round-robins the shard plan over N spawned workers
-// (util/subprocess.hpp), each of which recomputes the calibration from the
-// same flags, verifies it against the coordinator's config CRC, and writes
-// its shards' payload tiles to side files (`<out>.shard.<s>`, written to a
-// temp name and renamed so existence ⇒ completeness). The coordinator
-// verifies every payload (size and CRC-32) before vouching for it, then
-// concatenates header + payloads in shard order — byte-identical to
-// publish_sharded and publish_to_stream for the same options, whatever the
-// worker topology or failure history.
+// The mechanism is row-separable (core/sharded_publish.hpp), so any process
+// can compute any shard. The coordinator writes the release header, then
+// fills the release strictly in shard order. A shard's rows come from one of
+// two places:
+//   - the coordinator itself, which loads and computes the shard
+//     (compute_shard) when the fill reaches it and appends the tile. With
+//     zero workers — publish_sharded — that is every shard.
+//   - a worker process. The coordinator round-robins the shards over N
+//     spawned workers (util/subprocess.hpp). Each recomputes the calibration
+//     from the same flags, verifies it against the coordinator's config
+//     CRC, and commits each tile to a side file `<out>.shard.<crc>.<s>`
+//     (written to a temp name and renamed, so existence implies
+//     completeness). When the fill reaches the shard and its side file has
+//     the exact size, the coordinator streams the file into the release and
+//     deletes it.
+// Either way the release equals publish_to_stream's bytes for the same
+// options, whatever the worker topology or failure history.
 //
-// Failure handling, all observable through obs counters:
-//   - worker exits uncleanly (crash, SIGKILL, fault injection): the
-//     coordinator reclaims its outstanding leases (`reclaim` records,
-//     publish.leases_reclaimed), salvages any payload that already verifies,
-//     and respawns a replacement generation for the rest — bounded by
-//     the retry policy's max_attempts generations per worker slot.
+// The shard log: `<out>.ckpt` holds the magic line "sgp-shard-checkpoint
+// v1", a config line tying it to one exact publication, then one
+// CRC-guarded record per appended shard, synced through
+// util::DurableAppender after the shard's rows are flushed. A rerun with
+// the same options keeps the logged prefix when the release still begins
+// with this run's header and holds every logged byte, truncates the file
+// to it and goes on (publish.shards_resumed); a release replaced or cut
+// short starts over. Side files are never trusted across runs: their
+// names carry the config CRC, so a file written under other options is
+// never opened; the coordinator deletes every side and progress file next
+// to the release before it leases a shard and again when the release is
+// complete, and every shard past the logged prefix is recomputed. The log
+// is deleted once the release is complete.
+//
+// Failure handling, all observable through obs counters and events:
+//   - worker exits uncleanly (crash, SIGKILL, fault injection): every shard
+//     it committed is kept; the coordinator reclaims the rest
+//     (publish.leases_reclaimed) and respawns a replacement generation for
+//     them — bounded by the retry policy's max_attempts generations per
+//     worker slot.
 //   - worker goes silent (no heartbeat-file growth for
 //     lease_timeout_seconds): the coordinator hard-kills it and proceeds as
 //     above. The timeout must exceed the worst-case single-shard compute
 //     time; heartbeats are written once per shard.
 //   - spawn fails (proc.spawn fault point, missing binary) or a slot
-//     exhausts its generations: the slot's shards fall back to in-process
-//     computation in the coordinator. The degenerate case — every spawn
-//     failing — degrades to an ordinary single-process publish that still
-//     produces the exact release bytes.
-//
-// Durability: the lease file (`<out>.lease`) reuses the checkpoint idiom —
-// magic line, the shard_config_line tying it to one exact publication, then
-// CRC-guarded `lease` / `reclaim` / `complete` records appended through
-// util::DurableAppender (fsync per record). On resume, `complete` records
-// whose payload files still verify are trusted and those shards are skipped
-// (publish.shards_resumed). The lease file and payload files are deleted
-// once the release is assembled. Format details in docs/scaling.md;
-// failure matrix in docs/robustness.md.
+//     exhausts its generations: the coordinator computes the slot's shards
+//     itself when the fill reaches them. The degenerate case — every spawn
+//     failing — is an ordinary single-process publish.
+// Log format in docs/scaling.md; failure matrix in docs/robustness.md.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +66,11 @@ namespace sgp::core {
 struct DistributedPublishOptions {
   /// Shard plan, publish knobs, per-worker threads, resume, io retry.
   ShardedPublishOptions sharded;
-  /// Worker processes to spawn; 0 or 1 still runs the full protocol with
-  /// one worker (and falls back in-process if it cannot spawn).
+  /// Worker processes to spawn; 0 = none, the coordinator computes every
+  /// shard itself (exactly publish_sharded).
   std::size_t workers = 2;
   /// Path of the worker binary (normally the running sgp_publish itself).
-  /// Empty = skip spawning entirely and compute every shard in-process.
+  /// Empty = no workers, whatever `workers` says.
   std::string worker_program;
   /// Edge-list path handed to workers; must name the same file the
   /// coordinator's reader scanned.
@@ -71,8 +82,7 @@ struct DistributedPublishOptions {
   /// Coordinator monitor-loop poll cadence.
   double poll_interval_seconds = 0.02;
   /// Generations budget per worker slot (max_attempts) and the backoff
-  /// between respawns. Also used to retry lease-record appends
-  /// (lease.acquire fault point).
+  /// between respawns.
   util::RetryPolicy retry;
   /// Extra environment for generation-0 spawns, keyed by worker slot —
   /// the chaos hook (e.g. {"SGP_FAULT_SPEC", "proc.worker.exit:after=1"}).
@@ -92,15 +102,15 @@ struct DistributedPublishOptions {
 struct DistributedPublishResult {
   std::size_t num_nodes = 0;
   std::size_t shards_total = 0;
-  /// Shards proven complete by a prior run's lease file + payloads.
+  /// Shards kept from a prior run's shard log.
   std::size_t shards_resumed = 0;
   /// Worker processes actually spawned (all generations).
   std::size_t workers_spawned = 0;
   /// Worker processes that exited uncleanly or were presumed dead.
   std::size_t workers_lost = 0;
-  /// Leases taken back from dead workers (salvaged or reassigned).
+  /// Shards taken back from dead workers before they committed them.
   std::size_t leases_reclaimed = 0;
-  /// Shards the coordinator computed itself (fallback path).
+  /// Shards the coordinator computed itself (no workers, or fallback).
   std::size_t shards_inprocess = 0;
   /// Release-level trace id (empty unless obs_sidecar_prefix was set).
   std::string trace_id;
@@ -108,12 +118,13 @@ struct DistributedPublishResult {
 };
 
 /// Publishes the graph behind `reader` to `out_path` through the
-/// coordinator/worker protocol above. Byte-identical to publish_sharded
-/// with options.sharded. Throws util::PreconditionError on bad options and
-/// util::IoError when the release itself cannot be written (worker failures
-/// are absorbed, not thrown). Fault points: "proc.spawn", "lease.acquire",
-/// "io.shard.write"; workers additionally run "proc.worker.exit",
-/// "lease.heartbeat" and the io.shard.* points.
+/// coordinator above. Byte-identical to publish_to_stream with
+/// options.sharded.publish. Throws util::PreconditionError on bad options
+/// and util::IoError when the release or its log cannot be written (worker
+/// failures are absorbed, not thrown). Fault points: "io.shard.write"
+/// before each append, "io.shard.checkpoint" before each log record,
+/// "proc.spawn"; workers additionally run "proc.worker.exit",
+/// "lease.heartbeat", "io.shard.read" and "io.shard.write".
 DistributedPublishResult publish_distributed(
     const graph::EdgeListShardReader& reader,
     const DistributedPublishOptions& options, const std::string& out_path);
@@ -121,8 +132,9 @@ DistributedPublishResult publish_distributed(
 /// Entry point for the hidden `--worker` mode of sgp_publish: recomputes
 /// options from flags, validates --config-crc against its own derivation
 /// (exits via ParseError on drift), computes the assigned --shards list and
-/// writes each payload + heartbeat records. Returns the process exit code
-/// (0 on success); IO failures throw and take the tool's usual error paths.
+/// commits each tile to its side file, with a heartbeat per shard. Returns
+/// the process exit code (0 on success); IO failures throw and take the
+/// tool's usual error paths.
 int run_publish_worker(const util::CliArgs& args);
 
 }  // namespace sgp::core

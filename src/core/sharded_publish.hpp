@@ -13,12 +13,11 @@
 // size and thread count (enforced by tests/core/sharded_publish_test.cpp,
 // tests/core/publish_rows_test.cpp and the slow differential matrix).
 //
-// Durability: after each shard the publisher appends a CRC-guarded record to
-// a sidecar checkpoint log (`<out>.ckpt`). A crash mid-shard leaves the log
-// one record short; on the next run with identical options the publisher
-// truncates the release file back to the last complete shard boundary and
-// resumes there, producing the same bytes as an uninterrupted run. The log
-// is deleted once the release is complete.
+// publish_sharded is the shard coordinator (core/distributed_publish.hpp)
+// with zero workers: it appends the shards in order and logs each one in
+// `<out>.ckpt`, so a crash mid-release resumes at the last logged shard
+// with the same bytes as an uninterrupted run. The log is deleted once the
+// release is complete.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +82,8 @@ struct ShardedPublishOptions {
   std::size_t shard_rows = 0;
   /// Worker threads for the per-shard row loop; 0 = the global pool.
   std::size_t threads = 0;
-  /// Consult `<out>.ckpt` and resume at the last complete shard when the
-  /// checkpoint matches these options. Off = always start fresh.
+  /// Consult the shard log `<out>.ckpt` and resume after the last logged
+  /// shard when the log matches these options. Off = always start fresh.
   bool resume = true;
   /// Retry policy for the transiently-failing IO steps (shard loads — the
   /// `io.shard.read` fault point; re-loading is idempotent). The default
@@ -96,16 +95,17 @@ struct ShardedPublishOptions {
 struct ShardedPublishResult {
   std::size_t num_nodes = 0;
   std::size_t shards_total = 0;
-  /// Shards skipped because a matching checkpoint proved them complete.
+  /// Shards skipped because a matching shard log proved them complete.
   std::size_t shards_resumed = 0;
   NoiseCalibration calibration;
 };
 
-/// Publishes the graph behind `reader` to `out_path` shard by shard.
-/// The release file is byte-identical to publish_to_stream over
-/// read_edge_list of the same file with the same options. Throws
-/// util::PreconditionError on bad options and util::IoError on IO failure
-/// (fault points: "io.shard.read", "io.shard.write", "io.shard.checkpoint").
+/// Publishes the graph behind `reader` to `out_path` shard by shard: the
+/// shard coordinator (publish_distributed) with zero workers. The release
+/// file is byte-identical to publish_to_stream over read_edge_list of the
+/// same file with the same options. Throws util::PreconditionError on bad
+/// options and util::IoError on IO failure (fault points: "io.shard.read",
+/// "io.shard.write", "io.shard.checkpoint").
 ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
                                      const ShardedPublishOptions& options,
                                      const std::string& out_path);
@@ -117,21 +117,21 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
 /// touches once — at most one per neighbor entry — then adds σ-scaled
 /// counter noise. Both are pure functions of (seed, counter), so the
 /// caller's process/shard/thread topology cannot change a bit. `tile` is
-/// resized to (row_end − row_begin)·m. Shared by the single-process shard
-/// loop and the distributed workers (core/distributed_publish.hpp).
+/// resized to (row_end − row_begin)·m.
 void compute_shard_tile(const graph::ShardRows& shard, std::size_t row_begin,
                         std::size_t row_end,
                         const RandomProjectionPublisher::Options& publish,
                         const NoiseCalibration& calibration,
                         util::ThreadPool& pool, std::vector<double>& tile);
 
-/// The CRC-guarded config record that ties a checkpoint — or a distributed
-/// lease file — to one exact publication: every knob that changes output
-/// bytes or shard boundaries is included, so stale state from a different
-/// run can never be resumed into.
-[[nodiscard]] std::string shard_config_line(
-    const ShardedPublishOptions& options, std::size_t num_nodes,
-    std::size_t projection_dim, const NoiseCalibration& calibration,
-    const ShardPlan& plan);
+/// The shard step the coordinator and its workers share: loads shard `s` of
+/// `plan` from `reader` — retried under options.io_retry, since a reload is
+/// a fresh pass over the edge list — and computes its tile with
+/// compute_shard_tile, inside one publish.shard span.
+void compute_shard(const graph::EdgeListShardReader& reader,
+                   const ShardedPublishOptions& options,
+                   const NoiseCalibration& calibration, const ShardPlan& plan,
+                   std::size_t s, util::ThreadPool& pool,
+                   std::vector<double>& tile);
 
 }  // namespace sgp::core

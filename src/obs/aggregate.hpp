@@ -2,7 +2,7 @@
 // document out.
 //
 // The distributed publish leaves one observability sidecar per process
-// (obs/event_log.hpp). At assembly time the coordinator folds them — plus
+// (obs/event_log.hpp). When the run ends the coordinator folds them — plus
 // its own live registry/trace state — into a single merged report:
 //
 //   * counters are summed across processes;

@@ -8,9 +8,9 @@
 // (`<out>.obs.<pid>.jsonl`) through util::DurableAppender, so whatever
 // prefix survived the kill is exactly what the process had durably done —
 // no more, no less. The coordinator merges every sidecar into one
-// "sgp-obs-report v2" document at assembly time (obs/aggregate.hpp).
+// "sgp-obs-report v2" document when the run ends (obs/aggregate.hpp).
 //
-// Record framing reuses the checkpoint/lease idiom: each line is
+// Record framing reuses the shard log's idiom: each line is
 // `<json> crc <8-hex-crc32>`; a torn or bit-flipped trailing line is
 // detected and dropped by the reader, never trusted. Record types:
 //

@@ -56,13 +56,26 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 
 bool CliArgs::has(const std::string& key) const { return flags_.count(key) > 0; }
 
+void CliArgs::reject_unread() const {
+  std::string names;
+  for (const auto& [key, value] : flags_) {
+    if (read_.count(key) == 0) names += (names.empty() ? "--" : ", --") + key;
+  }
+  if (!names.empty()) {
+    throw PreconditionError("unused flag(s) " + names +
+                            ": misspelt, or not used in this mode");
+  }
+}
+
 std::string CliArgs::get_string(const std::string& key,
                                 const std::string& def) const {
+  read_.insert(key);
   const auto it = flags_.find(key);
   return it == flags_.end() ? def : it->second;
 }
 
 std::int64_t CliArgs::get_int(const std::string& key, std::int64_t def) const {
+  read_.insert(key);
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
   if (const auto value = parse_whole<std::int64_t>(it->second)) return *value;
@@ -72,6 +85,7 @@ std::int64_t CliArgs::get_int(const std::string& key, std::int64_t def) const {
 
 std::uint64_t CliArgs::get_uint64(const std::string& key,
                                   std::uint64_t def) const {
+  read_.insert(key);
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
   // from_chars of an unsigned type already rejects any sign.
@@ -82,6 +96,7 @@ std::uint64_t CliArgs::get_uint64(const std::string& key,
 }
 
 double CliArgs::get_double(const std::string& key, double def) const {
+  read_.insert(key);
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
   if (const auto value = parse_whole<double>(it->second)) return *value;
@@ -90,6 +105,7 @@ double CliArgs::get_double(const std::string& key, double def) const {
 }
 
 bool CliArgs::get_bool(const std::string& key, bool def) const {
+  read_.insert(key);
   const auto it = flags_.find(key);
   if (it == flags_.end()) return def;
   try {

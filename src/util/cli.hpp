@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,8 @@ namespace sgp::util {
 /// Parsed command line. Typed getters fall back to the supplied default when
 /// the flag is absent and throw std::invalid_argument on a malformed value.
 /// A number must be the whole value: "16x" or " 7" is malformed, not 16 or 7.
+/// Every getter marks its flag read, so a tool can reject the flags its
+/// mode never used (reject_unread) instead of silently ignoring them.
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -36,10 +39,17 @@ class CliArgs {
   }
   [[nodiscard]] const std::string& program() const { return program_; }
 
+  /// Throws util::PreconditionError naming every flag on the command line
+  /// that no getter has read (has() does not count): a typo, or a flag the
+  /// chosen mode does not use. Call it once every flag the mode uses has
+  /// been read.
+  void reject_unread() const;
+
  private:
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace sgp::util

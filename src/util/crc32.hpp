@@ -1,13 +1,15 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte strings.
 //
 // Shared by the durable on-disk logs — the budget ledger (core/ledger.cpp)
-// and the shard checkpoint log (core/sharded_publish.cpp) — whose text
-// records each carry a per-record checksum so a torn or bit-flipped line is
+// and the shard log (core/distributed_publish.cpp) — whose text records
+// each carry a per-record checksum so a torn or bit-flipped line is
 // detected on load instead of silently corrupting recovery.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <string_view>
 
 namespace sgp::util {
@@ -37,6 +39,14 @@ inline const std::array<std::uint32_t, 256>& crc32_table() {
         (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+/// crc32(bytes) as eight lowercase hex digits, the trailer of a shard-log
+/// record and the config CRC a coordinator hands its workers.
+[[nodiscard]] inline std::string crc32_hex(std::string_view bytes) {
+  char hex[9];
+  std::snprintf(hex, sizeof(hex), "%08x", crc32(bytes));
+  return hex;
 }
 
 }  // namespace sgp::util

@@ -2,14 +2,18 @@
 // the disk, not just the stream buffer.
 //
 // A flush() moves bytes from the process into the kernel page cache — it
-// survives a process crash but not a machine crash. The checkpoint and
-// lease logs (core/sharded_publish.cpp, core/distributed_publish.cpp)
-// vouch for payload bytes in *other* files, so a record that outlives a
-// power loss while the payload did not would resume into garbage.
-// DurableAppender therefore fsyncs after every append: on POSIX each
-// append() is write(2)-to-completion followed by fsync(2); elsewhere it
-// degrades to buffered stdio with fflush (no stronger primitive exists
-// portably, and the gate keeps the build working).
+// survives a process crash but not a machine crash. A record of the shard
+// log (core/distributed_publish.cpp) vouches for rows in another file, the
+// release: it is synced after those rows are flushed, and resume trusts the
+// log only while the release file's size covers every record. Across power
+// loss that relies on the filesystem not persisting a file's size ahead of
+// its data; ext4's default data=ordered mode forces data out before the
+// metadata that records the size.
+// DurableAppender fsyncs after every append, so a record itself survives
+// power loss: on POSIX each append() is write(2)-to-completion followed by
+// fsync(2); elsewhere it degrades to buffered stdio with fflush (no
+// stronger primitive exists portably, and the gate keeps the build
+// working).
 #pragma once
 
 #include <string>

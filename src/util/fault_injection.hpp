@@ -26,12 +26,11 @@
 //   io.read           graph/io.cpp read paths, core/serialization.cpp load
 //   io.write          graph/io.cpp write paths, core/serialization.cpp save
 //   io.shard.read     graph/shard_loader.cpp streaming shard passes
-//   io.shard.write    core/sharded_publish.cpp shard payload append,
-//                     core/distributed_publish.cpp shard concatenation
-//   io.shard.checkpoint  core/sharded_publish.cpp checkpoint record append
+//   io.shard.write    core/distributed_publish.cpp: the coordinator's
+//                     append of a shard to the release, a worker's side
+//                     file write
+//   io.shard.checkpoint  core/distributed_publish.cpp shard log record
 //   ledger.append     core/ledger.cpp durable append
-//   lease.acquire     core/distributed_publish.cpp coordinator lease-record
-//                     append (retried under util/retry.hpp)
 //   lease.heartbeat   core/distributed_publish.cpp worker heartbeat append
 //   proc.spawn        util/subprocess.cpp process creation
 //   proc.worker.exit  core/distributed_publish.cpp worker shard loop (hard

@@ -23,7 +23,6 @@ inline constexpr std::string_view kIoShardCheckpoint = "io.shard.checkpoint";
 inline constexpr std::string_view kIoShardRead = "io.shard.read";
 inline constexpr std::string_view kIoShardWrite = "io.shard.write";
 inline constexpr std::string_view kIoWrite = "io.write";
-inline constexpr std::string_view kLeaseAcquire = "lease.acquire";
 inline constexpr std::string_view kLeaseHeartbeat = "lease.heartbeat";
 inline constexpr std::string_view kLedgerAppend = "ledger.append";
 inline constexpr std::string_view kProcSpawn = "proc.spawn";
@@ -40,7 +39,6 @@ inline constexpr std::string_view kAllFaultPoints[] = {
     kIoShardRead,
     kIoShardWrite,
     kIoWrite,
-    kLeaseAcquire,
     kLeaseHeartbeat,
     kLedgerAppend,
     kProcSpawn,

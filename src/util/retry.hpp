@@ -1,6 +1,6 @@
 // Generic bounded-retry policy: exponential backoff with deterministic
 // jitter, shared by every site that wants to ride out transient
-// environmental failures (shard IO, worker spawns, lease appends).
+// environmental failures (shard IO, worker spawns).
 //
 // Only util::IoError is retried — it is the one taxonomy kind that models
 // a transient environment (util/errors.hpp); everything else (parse,

@@ -100,19 +100,51 @@ class DistributedChaosTest : public testing::Test {
     return opt;
   }
 
-  /// No stray protocol files may outlive a successful publish.
+  /// No stray protocol files may outlive a successful publish: nothing but
+  /// the release itself — no log, side file, temp file or progress file of
+  /// any run — carries the release's name.
   void expect_no_side_files() const {
-    EXPECT_FALSE(std::filesystem::exists(out_path_ + ".lease"));
-    for (std::size_t s = 0; s < 8; ++s) {
-      EXPECT_FALSE(std::filesystem::exists(out_path_ + ".shard." +
-                                           std::to_string(s)));
+    EXPECT_EQ(files_named_after_release(), std::vector<std::string>{});
+  }
+
+  /// Names of the files next to the release that start with its name + ".".
+  std::vector<std::string> files_named_after_release() const {
+    const std::string prefix =
+        std::filesystem::path(out_path_).filename().string() + ".";
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(out_path_).parent_path())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(prefix, 0) == 0) names.push_back(name);
     }
+    return names;
+  }
+
+  /// Runs the coordinator with no worker program until `point` fires on
+  /// its (after + 1)-th hit; the release and its log stay behind.
+  void crash_in_process(const char* point, std::size_t after,
+                        const DistributedPublishOptions& opt) const {
+    graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+    util::arm_fault(point, {.after = after});
+    EXPECT_THROW(publish_distributed(reader, opt, out_path_), util::IoError);
+    util::disarm_all_faults();
+    EXPECT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+  }
+
+  /// The golden options with no worker program: every shard in-process.
+  static DistributedPublishOptions in_process() {
+    auto opt = options(/*workers=*/2);
+    opt.worker_program.clear();
+    return opt;
   }
 
   std::string stem_;
   std::string out_path_;
   std::string ledger_path_;
 };
+
+/// Bytes of one 4-row, m = 8 shard of the golden release.
+constexpr std::size_t kShardBytes = 4 * 8 * sizeof(double);
 
 TEST_F(DistributedChaosTest, CleanRunIsByteIdenticalToGolden) {
   graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
@@ -193,26 +225,21 @@ TEST_F(DistributedChaosTest, EmptyWorkerProgramRunsFullyInProcess) {
   expect_no_side_files();
 }
 
-TEST_F(DistributedChaosTest, InterruptedAssemblyResumesFromLease) {
+// A coordinator crash with real workers: the release holds the shards it
+// appended and logged, and the rerun keeps exactly that prefix.
+TEST_F(DistributedChaosTest, InterruptedFillResumesFromShardLog) {
   graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
-  auto opt = options(/*workers=*/1);
-  opt.worker_program.clear();  // deterministic: all shards in-process
+  const auto opt = options(/*workers=*/2);
 
-  // Crash the coordinator during final assembly: every shard is computed
-  // and lease-logged complete, then the first concatenation write dies.
-  util::FaultConfig cfg;
-  cfg.max_fires = 1;
-  util::arm_fault("io.shard.write", cfg);
+  // The fourth append dies: shards 0-2 are in the release and logged.
+  util::arm_fault("io.shard.write", {.after = 3});
   EXPECT_THROW(publish_distributed(reader, opt, out_path_), util::IoError);
   util::disarm_all_faults();
-  EXPECT_TRUE(std::filesystem::exists(out_path_ + ".lease"));
+  EXPECT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
 
-  // The rerun must trust the verified lease records: no recompute, no
-  // worker spawns — just reassembly of the already-committed payloads.
   const auto result = publish_distributed(reader, opt, out_path_);
-  EXPECT_EQ(result.shards_resumed, result.shards_total);
-  EXPECT_EQ(result.shards_inprocess, 0u);
-  EXPECT_EQ(result.workers_spawned, 0u);
+  EXPECT_EQ(result.shards_resumed, 3u);
+  EXPECT_EQ(result.workers_lost, 0u);
   EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
   expect_no_side_files();
 }
@@ -460,6 +487,173 @@ TEST_F(DistributedChaosTest, CliLedgerChargedExactlyOnceUnderChaos) {
   std::ostringstream ref(std::ios::binary);
   publish_to_stream(g, session.release_options(1), ref);
   EXPECT_EQ(file_bytes(out_path_), ref.str());
+}
+
+// The single-process resume scenarios of sharded_publish_test.cpp, through
+// the coordinator with no worker program: one shard log, one resume rule.
+TEST_F(DistributedChaosTest, InProcessResumesAfterCrashAtShardWrite) {
+  crash_in_process("io.shard.write", 2, in_process());
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  const auto result = publish_distributed(reader, in_process(), out_path_);
+  EXPECT_EQ(result.shards_resumed, 2u);
+  EXPECT_EQ(result.shards_inprocess, 4u);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+TEST_F(DistributedChaosTest, InProcessResumesAfterCrashBeforeRecord) {
+  // Shard 2's rows reach the release but its record does not: the rerun
+  // distrusts the unlogged tail and redoes exactly that shard.
+  crash_in_process("io.shard.checkpoint", 2, in_process());
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  const auto result = publish_distributed(reader, in_process(), out_path_);
+  EXPECT_EQ(result.shards_resumed, 2u);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+TEST_F(DistributedChaosTest, InProcessIgnoresLogOfOtherOptions) {
+  auto stale = in_process();
+  stale.sharded.publish.seed = 99;
+  crash_in_process("io.shard.write", 2, stale);
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  const auto result = publish_distributed(reader, in_process(), out_path_);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+TEST_F(DistributedChaosTest, InProcessResumeDisabledStartsFresh) {
+  crash_in_process("io.shard.write", 2, in_process());
+  auto opt = in_process();
+  opt.sharded.resume = false;
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  const auto result = publish_distributed(reader, opt, out_path_);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(result.shards_inprocess, 6u);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+// The release must still hold every byte the log vouches for, under this
+// run's header; a file cut short or replaced is not trusted at all.
+TEST_F(DistributedChaosTest, InProcessDiscardsLogOfReleaseCutShort) {
+  crash_in_process("io.shard.write", 3, in_process());
+  const std::size_t golden = file_bytes(kReleasePath).size();
+  const std::size_t header = golden - 6 * kShardBytes;
+  // The file lost part of shard 1's rows; shard 0 alone is still there.
+  std::filesystem::resize_file(out_path_, header + kShardBytes + 8);
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  const auto result = publish_distributed(reader, in_process(), out_path_);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+TEST_F(DistributedChaosTest, InProcessDiscardsLogOfReplacedRelease) {
+  const graph::Graph g =
+      graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  auto replace_release = [&](const DistributedPublishOptions& other,
+                             std::size_t keep_bytes) {
+    std::ostringstream bytes(std::ios::binary);
+    publish_to_stream(g, other.sharded.publish, bytes);
+    std::ofstream(out_path_, std::ios::binary | std::ios::trunc)
+        << bytes.str().substr(0, keep_bytes);
+  };
+  const std::size_t header = file_bytes(kReleasePath).size() - 6 * kShardBytes;
+
+  // Another seed's release: the same header, cut to cover one shard.
+  auto other_seed = in_process();
+  other_seed.sharded.publish.seed = 99;
+  crash_in_process("io.shard.write", 3, in_process());
+  replace_release(other_seed, header + kShardBytes);
+  auto result = publish_distributed(reader, in_process(), out_path_);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+
+  // Another ε's whole release: long enough, but under another header.
+  auto other_epsilon = in_process();
+  other_epsilon.sharded.publish.params.epsilon = 8.0;
+  crash_in_process("io.shard.write", 3, in_process());
+  replace_release(other_epsilon, std::string::npos);
+  result = publish_distributed(reader, in_process(), out_path_);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+// One release from both sources: slot 0 has a one-generation budget and
+// its only worker dies at its first shard, so the coordinator computes
+// slot 0's shards itself while slot 1's worker delivers the others.
+TEST_F(DistributedChaosTest, WorkerAndCoordinatorShardsMixInOneRelease) {
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  auto opt = options(/*workers=*/2);
+  opt.retry.max_attempts = 1;
+  opt.worker_env[0] = {{"SGP_FAULT_SPEC", "proc.worker.exit"}};
+  const auto result = publish_distributed(reader, opt, out_path_);
+  EXPECT_EQ(result.workers_spawned, 2u);
+  EXPECT_EQ(result.workers_lost, 1u);
+  EXPECT_EQ(result.leases_reclaimed, 3u);
+  EXPECT_EQ(result.shards_inprocess, 3u);  // shards 0, 2 and 4
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+// Side files are never trusted across runs. A run under other options
+// crashes after its workers committed payloads; the next run's worker for
+// slot 0 dies before writing anything, so the only rows on disk for its
+// shards are the stale ones. They must not reach the new release, and no
+// file of either run may outlive it.
+TEST_F(DistributedChaosTest, StaleSideFilesOfOtherOptionsAreNeverSpliced) {
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  auto stale = options(/*workers=*/2);
+  stale.sharded.publish.params.epsilon = 8.0;
+  util::arm_fault("io.shard.write", {});  // in this process only
+  EXPECT_THROW(publish_distributed(reader, stale, out_path_), util::IoError);
+  util::disarm_all_faults();
+  const auto left = files_named_after_release();
+  ASSERT_TRUE(std::any_of(left.begin(), left.end(), [](const std::string& n) {
+    return n.find(".shard.") != std::string::npos;
+  })) << "the crashed run left no committed side file";
+
+  auto opt = options(/*workers=*/2);
+  opt.worker_env[0] = {{"SGP_FAULT_SPEC", "proc.worker.exit:count=1"}};
+  const auto result = publish_distributed(reader, opt, out_path_);
+  EXPECT_GE(result.workers_lost, 1u);
+  const graph::Graph g =
+      graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
+  std::ostringstream ref(std::ios::binary);
+  publish_to_stream(g, opt.sharded.publish, ref);
+  EXPECT_EQ(file_bytes(out_path_), ref.str())
+      << "rows of another release were spliced into this one";
+  expect_no_side_files();
+}
+
+// A leftover side file of these very options is not trusted either: a
+// crashed run's committed files are overwritten with zeros of the right
+// size, and the rerun must recompute those shards, not splice the zeros.
+TEST_F(DistributedChaosTest, LeftoverSideFilesOfTheseOptionsAreRecomputed) {
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  util::arm_fault("io.shard.write", {});  // in this process only
+  EXPECT_THROW(publish_distributed(reader, options(/*workers=*/2), out_path_),
+               util::IoError);
+  util::disarm_all_faults();
+  std::size_t planted = 0;
+  for (const std::string& name : files_named_after_release()) {
+    if (name.find(".shard.") == std::string::npos) continue;
+    const auto path = std::filesystem::path(out_path_).parent_path() / name;
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << std::string(kShardBytes, '\0');
+    ++planted;
+  }
+  ASSERT_GE(planted, 1u) << "the crashed run left no committed side file";
+
+  auto opt = options(/*workers=*/2);
+  opt.worker_env[0] = {{"SGP_FAULT_SPEC", "proc.worker.exit:count=1"}};
+  publish_distributed(reader, opt, out_path_);
+  EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // --io-attempts configure the shard loop, so an in-memory or --streaming
 // publish must refuse them with exit 2 (usage) and name the flags that
 // select out-of-core publishing, instead of ignoring them. A malformed
-// number is a usage error too.
+// number is a usage error too, and so is any flag the chosen mode does not
+// read, in sgp_publish and sgp_stats alike.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -40,11 +42,19 @@ class PublishCliTest : public testing::Test {
   }
 
   CliResult publish(const std::string& flags) const {
+    return run(std::string(SGP_PUBLISH_BIN) + " --edges '" + edges_ +
+               "' --out '" + release_ + "' --dim 2 --epsilon 1 " + flags);
+  }
+
+  CliResult stats(const std::string& flags) const {
+    return run(std::string(SGP_STATS_BIN) + " --edges '" + edges_ + "' " +
+               flags);
+  }
+
+  static CliResult run(const std::string& command) {
     const std::string err_path = temp_path("sgp_publish_cli_err.txt");
-    const std::string cmd = std::string(SGP_PUBLISH_BIN) + " --edges '" +
-                            edges_ + "' --out '" + release_ +
-                            "' --dim 2 --epsilon 1 " + flags + " 2> '" +
-                            err_path + "' > /dev/null";
+    const std::string cmd =
+        command + " 2> '" + err_path + "' > /dev/null";
     const int status = std::system(cmd.c_str());
     CliResult result;
     if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
@@ -104,6 +114,55 @@ TEST_F(PublishCliTest, InMemoryWithoutThemStillPublishes) {
     EXPECT_TRUE(std::filesystem::exists(release_));
     std::filesystem::remove(release_);
   }
+}
+
+// Every accepted flag takes effect, or the tool exits 2 and names it. The
+// typo used to publish at the default ε = 1; the others were ignored.
+TEST_F(PublishCliTest, UnusedFlagsAreUsageErrors) {
+  const struct {
+    const char* flags;
+    std::vector<std::string> named;
+  } cases[] = {
+      {"--epsilom 0.1", {"--epsilom"}},
+      {"--lease-timeout 5 --worker-fault-spec proc.spawn",
+       {"--lease-timeout", "--worker-fault-spec"}},
+      {"--shard-rows 2 --lease-timeout 5", {"--lease-timeout"}},
+      {"--streaming --shard-rows 2", {"--streaming"}},
+      {"--budget-epsilon 5 --budget-delta 1e-5",
+       {"--budget-epsilon", "--budget-delta"}},
+  };
+  for (const auto& c : cases) {
+    const CliResult result = publish(c.flags);
+    EXPECT_EQ(result.exit_code, 2) << c.flags << ": " << result.stderr_text;
+    for (const std::string& name : c.named) {
+      EXPECT_NE(result.stderr_text.find(name), std::string::npos)
+          << c.flags << ": " << result.stderr_text;
+    }
+    EXPECT_FALSE(std::filesystem::exists(release_)) << c.flags;
+  }
+}
+
+// --streaming does nothing under --ledger: the tool must refuse it before
+// it charges the ledger, so the ledger file is never even created.
+TEST_F(PublishCliTest, StreamingWithLedgerIsRejectedBeforeCharging) {
+  const std::string ledger = temp_path("sgp_publish_cli.ledger");
+  const CliResult result =
+      publish("--streaming --ledger '" + ledger + "' --budget-epsilon 5");
+  EXPECT_EQ(result.exit_code, 2) << result.stderr_text;
+  EXPECT_NE(result.stderr_text.find("--streaming"), std::string::npos)
+      << result.stderr_text;
+  EXPECT_FALSE(std::filesystem::exists(release_));
+  EXPECT_FALSE(std::filesystem::exists(ledger));
+  std::filesystem::remove(ledger);
+}
+
+TEST_F(PublishCliTest, StatsRejectsUnusedFlags) {
+  const CliResult typo = stats("--epsilom 0.5");
+  EXPECT_EQ(typo.exit_code, 2) << typo.stderr_text;
+  EXPECT_NE(typo.stderr_text.find("--epsilom"), std::string::npos)
+      << typo.stderr_text;
+  const CliResult ok = stats("--epsilon 0.5 --seed 3");
+  EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
 }
 
 }  // namespace

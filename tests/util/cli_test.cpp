@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace sgp::util {
@@ -113,6 +114,35 @@ TEST(CliTest, SeedRejectsSignsAndOverflow) {
 TEST(CliTest, LaterValueWins) {
   const auto args = make({"prog", "--k=1", "--k=2"});
   EXPECT_EQ(args.get_int("k", 0), 2);
+}
+
+// Every getter marks its flag read, whatever the value or the default;
+// has() does not. reject_unread() names each flag no getter touched.
+TEST(CliTest, UnreadFlagsAreNamedAndRejected) {
+  const auto args = make({"prog", "--epsilom", "0.1", "--dim", "8",
+                          "--streaming", "--seed=3", "--trace"});
+  const auto unread_message = [&args]() -> std::string {
+    try {
+      args.reject_unread();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(args.get_int("dim", 0), 8);
+  EXPECT_DOUBLE_EQ(args.get_double("epsilon", 1.0), 1.0);  // absent flag
+  EXPECT_EQ(args.get_uint64("seed", 0), 3u);
+  EXPECT_TRUE(args.get_bool("trace", false));
+  EXPECT_TRUE(args.has("streaming"));
+  const std::string message = unread_message();
+  EXPECT_NE(message.find("--epsilom, --streaming"), std::string::npos)
+      << message;
+  for (const char* read : {"--dim", "--seed", "--trace", "--epsilon,"}) {
+    EXPECT_EQ(message.find(read), std::string::npos) << read << ": " << message;
+  }
+  EXPECT_EQ(args.get_string("epsilom", ""), "0.1");
+  EXPECT_TRUE(args.get_bool("streaming", false));
+  EXPECT_EQ(unread_message(), "");
 }
 
 }  // namespace

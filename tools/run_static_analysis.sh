@@ -171,6 +171,20 @@ obs_ok=1
 ./build/tools/sgp_publish --edges "${obs_dir}/g.edges" --out "${obs_dir}/r.bin" \
   --dim 16 --seed 7 --shard-rows 32 --workers 2 \
   --metrics-out "${obs_dir}/merged.json" >/dev/null 2>&1 || obs_ok=0
+# The worker release must equal the in-memory one, and a finished publish
+# leaves no shard log, side file or worker progress file behind.
+./build/tools/sgp_publish --edges "${obs_dir}/g.edges" \
+  --out "${obs_dir}/inmem.bin" --dim 16 --seed 7 >/dev/null 2>&1 || obs_ok=0
+cmp -s "${obs_dir}/r.bin" "${obs_dir}/inmem.bin" || {
+  echo "obs plane: worker release differs from the in-memory release"
+  obs_ok=0
+}
+leftovers="$(find "${obs_dir}" -name 'r.bin.ckpt' -o -name 'r.bin.shard.*' \
+  -o -name 'r.bin.w*')"
+if [[ -n "${leftovers}" ]]; then
+  echo "obs plane: left behind: ${leftovers}"
+  obs_ok=0
+fi
 ./build/tools/sgp_bench_check "${obs_dir}/merged.json" || obs_ok=0
 ./build/tools/sgp_trace --report "${obs_dir}/merged.json" \
   --chrome "${obs_dir}/chrome.json" --summary >/dev/null || obs_ok=0

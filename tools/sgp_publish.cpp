@@ -5,7 +5,8 @@
 //               [--projection gaussian|achlioptas] [--seed 7] [--streaming]
 //               [--kernel auto|scalar|generic|avx2|avx512]
 //               [--shard-rows R | --max-memory-mb MB] [--threads T]
-//               [--no-resume]
+//               [--no-resume] [--io-attempts K]
+//               [--workers N [--lease-timeout S] [--worker-fault-spec F]]
 //               [--ledger budget.ledger --budget-epsilon 10 --budget-delta 1e-5]
 //               [--metrics-out metrics.json [--metrics-format prometheus]]
 //               [--trace]
@@ -21,15 +22,24 @@
 // the same projection on any machine.
 //
 // With --shard-rows (or --max-memory-mb, which derives a shard height from
-// a memory budget — docs/scaling.md) the release is produced out of core:
-// the graph is never materialized, row shards stream from the edge list and
-// append to the release file one by one, still byte-identical to the other
-// paths. A crash mid-shard leaves a `<out>.ckpt` checkpoint; rerunning the
-// same command resumes at the last complete shard (--no-resume starts
-// over). Combined with --ledger, a resumed run finishes the already-charged
-// release instead of charging a new one. --threads, --no-resume and
-// --io-attempts only configure this out-of-core path; an in-memory or
-// --streaming publish rejects them with exit 2.
+// a memory budget — docs/scaling.md) the release is produced out of core by
+// the shard coordinator: the graph is never materialized, and row shards
+// stream from the edge list and append to the release file in order, still
+// byte-identical to the other paths. Each appended shard is logged in
+// `<out>.ckpt`; rerunning the same command after a crash resumes after the
+// last logged shard (--no-resume starts over). Combined with --ledger, a
+// resumed run finishes the already-charged release instead of charging a
+// new one.
+//
+// With --workers N the coordinator hands the shards to N worker
+// *processes* — workers that crash, are killed, or go silent are reclaimed
+// and their shards reassigned (or computed by the coordinator as the last
+// resort), and the release is still byte-identical to every other path.
+// --lease-timeout bounds how long a silent worker is trusted;
+// --worker-fault-spec arms an SGP_FAULT_SPEC in worker slot 0 only (the
+// chaos hook — docs/robustness.md). The hidden --worker flag is the
+// child-process entry point and not for interactive use. Architecture and
+// shard log format: docs/scaling.md.
 //
 // With --ledger the release is charged against a crash-safe budget ledger:
 // repeated invocations against the same ledger accumulate spent (ε, δ), and
@@ -37,15 +47,12 @@
 // tool refuses with exit code 4 and publishes nothing. See
 // docs/robustness.md for the ledger format and recovery semantics.
 //
-// With --workers N the out-of-core publication is distributed over N worker
-// *processes* coordinated through a durable lease file — workers that
-// crash, are killed, or go silent are reclaimed and their shards reassigned
-// (or computed in-process as the last resort), and the release is still
-// byte-identical to every other path. --lease-timeout bounds how long a
-// silent worker is trusted; --worker-fault-spec arms an SGP_FAULT_SPEC in
-// worker slot 0 only (the chaos hook — docs/robustness.md). The hidden
-// --worker flag is the child-process entry point and not for interactive
-// use. Architecture and lease format: docs/scaling.md.
+// Every flag given must take effect, or the tool exits 2 before it charges
+// the ledger or writes a file: --threads, --no-resume and --io-attempts
+// need an out-of-core flag; --lease-timeout and --worker-fault-spec need
+// --workers; the budget flags need --ledger; --streaming needs an
+// in-memory publish without --ledger; and a misspelt flag is never
+// accepted.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -89,9 +96,9 @@ int main(int argc, char** argv) {
                  "[--projection gaussian|achlioptas] [--seed S] "
                  "[--kernel auto|scalar|generic|avx2|avx512] "
                  "[--streaming] [--shard-rows R | --max-memory-mb MB] "
-                 "[--threads T] [--no-resume] "
+                 "[--threads T] [--no-resume] [--io-attempts K] "
                  "[--workers N [--lease-timeout S] [--worker-fault-spec F]] "
-                 "[--io-attempts K] [--ledger budget.ledger "
+                 "[--ledger budget.ledger "
                  "--budget-epsilon E --budget-delta D] "
                  "[--metrics-out metrics.json] [--trace]\n",
                  args.program().c_str());
@@ -122,10 +129,16 @@ int main(int argc, char** argv) {
     opt.kernel =
         sgp::random::parse_kernel_variant(args.get_string("kernel", "auto"));
     const std::string ledger_path = args.get_string("ledger", "");
-    // The cap is the point of the ledger — refuse to default it silently.
-    if (!ledger_path.empty() &&
-        args.get_string("budget-epsilon", "").empty()) {
-      throw sgp::util::PreconditionError("--ledger requires --budget-epsilon");
+    sgp::core::PublishingSession::Options sopt;
+    if (!ledger_path.empty()) {
+      // The cap is the point of the ledger — refuse to default it silently.
+      if (args.get_string("budget-epsilon", "").empty()) {
+        throw sgp::util::PreconditionError(
+            "--ledger requires --budget-epsilon");
+      }
+      sopt.publisher = opt;
+      sopt.total_budget = {args.get_double("budget-epsilon", 10.0),
+                           args.get_double("budget-delta", 1e-5)};
     }
 
     const auto shard_rows_flag =
@@ -136,62 +149,19 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("workers", 0));
     if (shard_rows_flag > 0 || max_memory_mb > 0 || workers_flag > 0) {
       // Out-of-core path: the graph is never materialized — the reader
-      // scans the file once for shape, then streams one row shard at a
-      // time through publish_sharded (or hands shards to worker processes
-      // under --workers).
-      sgp::obs::ScopedTimer scan_timer(sgp::obs::names::kToolLoadGraph);
-      sgp::graph::EdgeListShardReader reader(edges_path, policy);
-      std::fprintf(stderr, "scanned %zu nodes / %zu edge records in %.2fs\n",
-                   reader.num_nodes(), reader.edge_records(),
-                   scan_timer.stop());
-
-      sgp::obs::ScopedTimer publish_timer(sgp::obs::names::kToolPublish);
-      sgp::core::ShardedPublishOptions shard_opt;
-      shard_opt.publish = opt;
-      if (shard_rows_flag > 0) {
-        shard_opt.shard_rows = shard_rows_flag;
-      } else if (max_memory_mb > 0) {
-        shard_opt.shard_rows = sgp::core::shard_rows_for_memory(
-            max_memory_mb, opt.projection_dim);
-      } else {
-        // --workers alone: ~4 shards per worker keeps the reassignment
-        // granularity fine enough that losing a worker loses little work.
-        shard_opt.shard_rows = std::max<std::size_t>(
-            1, (reader.num_nodes() + 4 * workers_flag - 1) /
-                   (4 * workers_flag));
-      }
-      shard_opt.threads =
+      // scans the file once for shape, then the shard coordinator streams
+      // one row shard at a time, computing it itself or handing it to a
+      // worker process under --workers.
+      sgp::core::DistributedPublishOptions dopt;
+      dopt.sharded.threads =
           static_cast<std::size_t>(args.get_int("threads", 0));
-      shard_opt.resume = !args.get_bool("no-resume", false);
-      // Distributed runs default to riding out transient shard-IO
-      // failures; the single-process path stays fail-fast unless asked.
-      shard_opt.io_retry.max_attempts = static_cast<std::size_t>(
+      dopt.sharded.resume = !args.get_bool("no-resume", false);
+      // Worker runs default to riding out transient shard-IO failures; the
+      // single-process path stays fail-fast unless asked.
+      dopt.sharded.io_retry.max_attempts = static_cast<std::size_t>(
           args.get_int("io-attempts", workers_flag > 0 ? 3 : 1));
-
-      // A leftover checkpoint or lease file means the last charged release
-      // never finished: finish it under its original (already-paid)
-      // options instead of charging the budget a second time.
-      const bool unfinished =
-          std::filesystem::exists(out_path + ".ckpt") ||
-          std::filesystem::exists(out_path + ".lease");
-      std::optional<sgp::core::PublishingSession> session;
-      if (!ledger_path.empty()) {
-        sgp::core::PublishingSession::Options sopt;
-        sopt.publisher = opt;
-        sopt.total_budget = {args.get_double("budget-epsilon", 10.0),
-                             args.get_double("budget-delta", 1e-5)};
-        session.emplace(sopt, ledger_path);
-        const bool finish_last =
-            shard_opt.resume && session->num_releases() > 0 && unfinished;
-        shard_opt.publish =
-            finish_last ? session->release_options(session->num_releases())
-                        : session->begin_release();
-      }
-
+      dopt.workers = workers_flag;
       if (workers_flag > 0) {
-        sgp::core::DistributedPublishOptions dopt;
-        dopt.sharded = shard_opt;
-        dopt.workers = workers_flag;
         dopt.worker_program = self_program(args);
         dopt.edges_path = edges_path;
         dopt.id_policy = policy;
@@ -206,46 +176,68 @@ int main(int argc, char** argv) {
           // merged into one "sgp-obs-report v2" when obs_scope closes.
           dopt.obs_sidecar_prefix = out_path + ".obs.";
         }
-        const auto result =
-            sgp::core::publish_distributed(reader, dopt, out_path);
-        if (!result.trace_id.empty()) {
-          obs_scope.set_distributed_merge(dopt.obs_sidecar_prefix,
-                                          result.trace_id);
-        }
-        std::fprintf(
-            stderr,
-            "published %s: %zu shards over %zu workers spawned (%zu lost, "
-            "%zu leases reclaimed, %zu in-process, %zu resumed) in %.2fs\n",
-            out_path.c_str(), result.shards_total, result.workers_spawned,
-            result.workers_lost, result.leases_reclaimed,
-            result.shards_inprocess, result.shards_resumed,
-            publish_timer.stop());
-        if (session) {
-          std::fprintf(stderr, "session now at %s (%.3f epsilon left)\n",
-                       session->spent().to_string().c_str(),
-                       session->remaining_epsilon());
-        }
-        return sgp::tools::kExitOk;
+      }
+      args.reject_unread();
+
+      sgp::obs::ScopedTimer scan_timer(sgp::obs::names::kToolLoadGraph);
+      sgp::graph::EdgeListShardReader reader(edges_path, policy);
+      std::fprintf(stderr, "scanned %zu nodes / %zu edge records in %.2fs\n",
+                   reader.num_nodes(), reader.edge_records(),
+                   scan_timer.stop());
+
+      sgp::obs::ScopedTimer publish_timer(sgp::obs::names::kToolPublish);
+      if (shard_rows_flag > 0) {
+        dopt.sharded.shard_rows = shard_rows_flag;
+      } else if (max_memory_mb > 0) {
+        dopt.sharded.shard_rows = sgp::core::shard_rows_for_memory(
+            max_memory_mb, opt.projection_dim);
+      } else {
+        // --workers alone: ~4 shards per worker keeps the reassignment
+        // granularity fine enough that losing a worker loses little work.
+        dopt.sharded.shard_rows = std::max<std::size_t>(
+            1, (reader.num_nodes() + 4 * workers_flag - 1) /
+                   (4 * workers_flag));
+      }
+
+      // A leftover shard log means the last charged release never
+      // finished: finish it under its original (already-paid) options
+      // instead of charging the budget a second time.
+      dopt.sharded.publish = opt;
+      std::optional<sgp::core::PublishingSession> session;
+      if (!ledger_path.empty()) {
+        const bool unfinished = std::filesystem::exists(out_path + ".ckpt");
+        session.emplace(sopt, ledger_path);
+        const bool finish_last =
+            dopt.sharded.resume && session->num_releases() > 0 && unfinished;
+        dopt.sharded.publish =
+            finish_last ? session->release_options(session->num_releases())
+                        : session->begin_release();
       }
 
       const auto result =
-          sgp::core::publish_sharded(reader, shard_opt, out_path);
-      if (session) {
-        std::fprintf(stderr,
-                     "published %s: %zu shards (%zu resumed); session now at "
-                     "%s (%.3f epsilon left)\n",
-                     out_path.c_str(), result.shards_total,
-                     result.shards_resumed,
-                     session->spent().to_string().c_str(),
-                     session->remaining_epsilon());
-        return sgp::tools::kExitOk;
+          sgp::core::publish_distributed(reader, dopt, out_path);
+      if (!result.trace_id.empty()) {
+        obs_scope.set_distributed_merge(dopt.obs_sidecar_prefix,
+                                        result.trace_id);
       }
       std::fprintf(stderr,
                    "published %s: %zu shards of %zu rows (%zu resumed) under "
                    "%s in %.2fs\n",
-                   out_path.c_str(), result.shards_total, shard_opt.shard_rows,
-                   result.shards_resumed, opt.params.to_string().c_str(),
-                   publish_timer.stop());
+                   out_path.c_str(), result.shards_total,
+                   dopt.sharded.shard_rows, result.shards_resumed,
+                   opt.params.to_string().c_str(), publish_timer.stop());
+      if (workers_flag > 0) {
+        std::fprintf(stderr,
+                     "workers: %zu spawned, %zu lost, %zu leases reclaimed, "
+                     "%zu shards in-process\n",
+                     result.workers_spawned, result.workers_lost,
+                     result.leases_reclaimed, result.shards_inprocess);
+      }
+      if (session) {
+        std::fprintf(stderr, "session now at %s (%.3f epsilon left)\n",
+                     session->spent().to_string().c_str(),
+                     session->remaining_epsilon());
+      }
       return sgp::tools::kExitOk;
     }
 
@@ -259,6 +251,9 @@ int main(int argc, char** argv) {
             "--max-memory-mb or --workers");
       }
     }
+    const bool streaming =
+        ledger_path.empty() && args.get_bool("streaming", false);
+    args.reject_unread();
 
     sgp::obs::ScopedTimer load_timer(sgp::obs::names::kToolLoadGraph);
     const auto graph = sgp::graph::read_edge_list_file(edges_path, policy);
@@ -267,10 +262,6 @@ int main(int argc, char** argv) {
 
     sgp::obs::ScopedTimer publish_timer(sgp::obs::names::kToolPublish);
     if (!ledger_path.empty()) {
-      sgp::core::PublishingSession::Options sopt;
-      sopt.publisher = opt;
-      sopt.total_budget = {args.get_double("budget-epsilon", 10.0),
-                           args.get_double("budget-delta", 1e-5)};
       sgp::core::PublishingSession session(sopt, ledger_path);
       std::fprintf(stderr, "ledger %s: %zu prior releases, spent %s\n",
                    ledger_path.c_str(), session.num_releases(),
@@ -283,7 +274,7 @@ int main(int argc, char** argv) {
                    session.remaining_epsilon());
       return sgp::tools::kExitOk;
     }
-    if (args.get_bool("streaming", false)) {
+    if (streaming) {
       std::ofstream out(out_path, std::ios::binary);
       if (!out.good()) {
         throw sgp::util::IoError("cannot open " + out_path);

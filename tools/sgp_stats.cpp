@@ -33,14 +33,17 @@ int main(int argc, char** argv) {
   const sgp::tools::ObsScope obs_scope(args, "sgp_stats");
 
   return sgp::tools::run_tool([&]() -> int {
-    sgp::obs::ScopedTimer stats_timer(sgp::obs::names::kToolStats);
-    const auto graph = sgp::graph::read_edge_list_file(edges_path);
     const double total_eps = args.get_double("epsilon", 1.0);
     const auto max_degree =
         static_cast<std::size_t>(args.get_int("max-degree", 200));
     const auto degree_bound =
         static_cast<std::size_t>(args.get_int("degree-bound", 0));
     sgp::random::Rng rng(args.get_uint64("seed", 7));
+    // A misspelt or unknown flag is a usage error, not a silent default.
+    args.reject_unread();
+
+    sgp::obs::ScopedTimer stats_timer(sgp::obs::names::kToolStats);
+    const auto graph = sgp::graph::read_edge_list_file(edges_path);
 
     const int parts = degree_bound > 0 ? 3 : 2;
     const double eps_each = total_eps / parts;
