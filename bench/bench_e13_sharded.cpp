@@ -190,9 +190,9 @@ int main(int argc, char** argv) {
             std::string(sgp::random::to_string(
                 sgp::random::resolve_normal_kernel(
                     sgp::random::KernelVariant::kAuto))))
-      // This BENCH file itself is a v1 report; the flag records which
-      // observability schema distributed runs of this configuration merge
-      // into (sgp_bench_check enforces a known value).
+      // The schema distributed runs of this configuration merge into —
+      // the one this BENCH file is written in too (sgp_bench_check
+      // enforces it).
       .meta("obs_schema", "sgp-obs-report v2");
 
   std::error_code ec;

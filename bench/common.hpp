@@ -5,11 +5,12 @@
 // are the series the paper reports. Progress/status goes to stderr so stdout
 // stays machine-readable.
 //
-// In addition every bench emits BENCH_<id>.json (schema "sgp-obs-report v1",
-// see obs/report.hpp): declare a BenchReport at the top of main and the
-// destructor writes phase timings, counter snapshots, and metadata to the
-// working directory — or $SGP_BENCH_JSON_DIR when set. Validate with
-// tools/sgp_bench_check.
+// In addition every bench emits BENCH_<id>.json, the repo's one report
+// schema "sgp-obs-report v2" with a single process (obs/report.hpp): declare
+// a BenchReport at the top of main and the destructor writes phase timings,
+// the metrics snapshot, the span tree, and metadata to the working
+// directory — or $SGP_BENCH_JSON_DIR when set. Validate with
+// tools/sgp_bench_check; render with tools/sgp_trace.
 #pragma once
 
 #include <cstdio>

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -26,7 +25,6 @@
 #include "obs/scoped_timer.hpp"
 #include "obs/trace.hpp"
 #include "random/kernel_variant.hpp"
-#include "random/rng.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
 #include "util/durable.hpp"
@@ -47,15 +45,17 @@ std::string with_crc(const std::string& body) {
 
 /// The log's config record, which ties the log and the workers' side files
 /// to one exact publication: every knob that changes output bytes or shard
-/// boundaries is included, so state from a different run is never resumed.
+/// boundaries is included, and so is the edge list's fingerprint, so state
+/// from a different run or input is never resumed.
 std::string shard_config_line(const ShardedPublishOptions& options,
-                              std::size_t num_nodes,
+                              const graph::EdgeListShardReader& reader,
                               std::size_t projection_dim,
                               const NoiseCalibration& calibration,
                               const ShardPlan& plan) {
   std::ostringstream out;
   out.precision(17);
-  out << "config nodes " << num_nodes << " dim " << projection_dim
+  out << "config nodes " << reader.num_nodes() << " edges " << std::hex
+      << reader.fingerprint() << std::dec << " dim " << projection_dim
       << " shard_rows " << plan.shard_rows << " seed "
       << options.publish.seed << " epsilon "
       << options.publish.params.epsilon << " delta "
@@ -219,22 +219,6 @@ std::string format_double(double v) {
   return out.str();
 }
 
-/// Release-level trace id: wall-clock nanos mixed with the pid through the
-/// splitmix64 finalizer. Uniqueness across concurrent coordinators is what
-/// matters; this is an identifier, not randomness for the mechanism.
-std::string mint_trace_id() {
-  const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::system_clock::now().time_since_epoch())
-                         .count();
-  std::uint64_t state = static_cast<std::uint64_t>(nanos) ^
-                        (obs::sidecar_pid() << 32);
-  const std::uint64_t mixed = random::splitmix64(state);
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(mixed));
-  return hex;
-}
-
 std::string sidecar_path_for_pid(const std::string& prefix) {
   return prefix + std::to_string(obs::sidecar_pid()) + ".jsonl";
 }
@@ -262,7 +246,7 @@ DistributedPublishResult publish_distributed(
                       sharded.publish.analytic_calibration,
                       sharded.publish.delta_split);
   const std::string config =
-      shard_config_line(sharded, n, m, calibration, plan);
+      shard_config_line(sharded, reader, m, calibration, plan);
   const std::string config_crc = util::crc32_hex(config);
 
   // The observability plane: mint the release trace id and open the
@@ -272,7 +256,7 @@ DistributedPublishResult publish_distributed(
   const bool obs_plane = !options.obs_sidecar_prefix.empty();
   std::string trace_id;
   if (obs_plane) {
-    trace_id = mint_trace_id();
+    trace_id = obs::mint_trace_id();
     obs::set_trace_enabled(true);
     obs::SidecarInfo sidecar_info;
     sidecar_info.role = "coordinator";
@@ -683,7 +667,8 @@ int run_publish_worker(const util::CliArgs& args) {
   // Drift guard: the coordinator hands over the CRC of its config record;
   // a worker whose own derivation disagrees would publish different bytes,
   // so it must refuse rather than contribute a payload.
-  const std::string config = shard_config_line(opt, n, m, calibration, plan);
+  const std::string config =
+      shard_config_line(opt, reader, m, calibration, plan);
   const std::string derived_crc = util::crc32_hex(config);
   const std::string expected_crc = args.get_string("config-crc", "");
   if (expected_crc != derived_crc) {

@@ -1,6 +1,7 @@
 #include "graph/shard_loader.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/fault_point_names.hpp"
+#include "util/splitmix.hpp"
 
 namespace sgp::graph {
 namespace {
@@ -36,6 +38,9 @@ EdgeListShardReader::EdgeListShardReader(std::string path, IdPolicy policy,
   const EdgeScanStats stats = scan_edge_list(
       in, policy_, max_preserved_id_,
       [&](std::uint64_t u_raw, std::uint64_t v_raw) {
+        // One mix per record; the rotation keeps (u, v) and (v, u) apart.
+        fingerprint_ =
+            util::splitmix64(fingerprint_ ^ u_raw ^ std::rotl(v_raw, 32));
         if (policy_ == IdPolicy::kCompact) {
           remap_.emplace(u_raw, static_cast<std::uint32_t>(remap_.size()));
           remap_.emplace(v_raw, static_cast<std::uint32_t>(remap_.size()));

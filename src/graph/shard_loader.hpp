@@ -62,6 +62,11 @@ class EdgeListShardReader {
   /// Edge records accepted by the scan (before undirected deduplication).
   [[nodiscard]] std::size_t edge_records() const { return edge_records_; }
 
+  /// 64-bit fingerprint of the accepted records (raw ids, in file order),
+  /// folded during the construction scan. Readers of the same edge list
+  /// agree on it; a changed list almost surely changes it.
+  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
+
   /// Loads CSR rows [row_begin, row_end). Requires row_begin <= row_end and
   /// row_end <= num_nodes(). Re-reads the file; throws util::IoError if it
   /// changed shape since construction (defensive — the scan counts must
@@ -75,6 +80,7 @@ class EdgeListShardReader {
   std::uint64_t max_preserved_id_;
   std::size_t num_nodes_ = 0;
   std::size_t edge_records_ = 0;
+  std::uint64_t fingerprint_ = 0;
   /// kCompact only: raw file id -> dense node index, first-appearance order.
   std::unordered_map<std::uint64_t, std::uint32_t> remap_;
 };

@@ -109,90 +109,41 @@ void apply_process_record(ProcessLog& log, const util::JsonValue& rec) {
   log.epoch_unix = number_or(rec.find("epoch_unix"), 0.0);
 }
 
-/// A span plus the process it came from, after id remapping into the merged
-/// id space and time shifting into the coordinator frame.
-struct MergedSpan {
-  SpanRecord record;
-  std::uint64_t pid = 0;
-};
-
 struct MergedEvent {
   EventRecord record;
   std::uint64_t pid = 0;
 };
 
-struct MergedTreeNode {
-  const MergedSpan* span = nullptr;
-  std::vector<std::size_t> children;
-};
-
-/// Same forest-building contract as the single-process trace exporter:
-/// unknown parents become roots, siblings ordered by start time.
-std::vector<std::size_t> build_merged_tree(const std::vector<MergedSpan>& spans,
-                                           std::vector<MergedTreeNode>& nodes) {
-  nodes.resize(spans.size());
-  std::vector<std::size_t> order(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    nodes[i].span = &spans[i];
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return spans[a].record.start_seconds < spans[b].record.start_seconds;
-  });
-  std::vector<std::pair<std::uint64_t, std::size_t>> by_id(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    by_id[i] = {spans[i].record.id, i};
-  }
-  std::sort(by_id.begin(), by_id.end());
-  const auto find_node = [&](std::uint64_t id) -> std::size_t {
-    const auto it = std::lower_bound(
-        by_id.begin(), by_id.end(), std::make_pair(id, std::size_t{0}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (it == by_id.end() || it->first != id) return spans.size();
-    return it->second;
-  };
-  std::vector<std::size_t> roots;
-  for (const std::size_t i : order) {
-    const std::uint64_t parent = spans[i].record.parent_id;
-    const std::size_t parent_node =
-        parent == 0 ? spans.size() : find_node(parent);
-    if (parent_node == spans.size()) {
-      roots.push_back(i);
-    } else {
-      nodes[parent_node].children.push_back(i);
-    }
-  }
-  return roots;
-}
-
-void append_merged_span_json(std::string& out,
-                             const std::vector<MergedTreeNode>& nodes,
-                             std::size_t index, int depth) {
-  const MergedSpan& s = *nodes[index].span;
+/// One span of the merged forest and, nested, its children; `pids[i]` is
+/// the process span i came from.
+void append_span_json(std::string& out, const std::vector<SpanRecord>& spans,
+                      const std::vector<std::uint64_t>& pids,
+                      const std::vector<std::vector<std::size_t>>& children,
+                      std::size_t index, int depth) {
+  const SpanRecord& s = spans[index];
   const std::string pad(static_cast<std::size_t>(depth) * 2 + 2, ' ');
-  out += "{\"name\": " + jquote(s.record.name);
-  out += ", \"start\": " + util::json_number(s.record.start_seconds);
-  out += ", \"duration\": " + util::json_number(s.record.duration_seconds);
-  out += ", \"thread\": " + util::json_number(std::uint64_t{s.record.thread});
-  out += ", \"pid\": " + util::json_number(s.pid);
+  out += "{\"name\": " + jquote(s.name);
+  out += ", \"start\": " + util::json_number(s.start_seconds);
+  out += ", \"duration\": " + util::json_number(s.duration_seconds);
+  out += ", \"thread\": " + util::json_number(std::uint64_t{s.thread});
+  out += ", \"pid\": " + util::json_number(pids[index]);
   out += ", \"attrs\": {";
-  for (std::size_t i = 0; i < s.record.attrs.size(); ++i) {
+  for (std::size_t i = 0; i < s.attrs.size(); ++i) {
     if (i > 0) out += ", ";
-    out += jquote(s.record.attrs[i].first) + ": " +
-           jquote(s.record.attrs[i].second);
+    out += jquote(s.attrs[i].first) + ": " + jquote(s.attrs[i].second);
   }
   out += "}, \"children\": [";
-  for (std::size_t i = 0; i < nodes[index].children.size(); ++i) {
+  for (std::size_t i = 0; i < children[index].size(); ++i) {
     out += i == 0 ? "\n" + pad : ",\n" + pad;
-    append_merged_span_json(out, nodes, nodes[index].children[i], depth + 1);
+    append_span_json(out, spans, pids, children, children[index][i],
+                     depth + 1);
   }
   out += "]}";
 }
 
-/// Renders a merged histogram the way the v1 exporter does: sparse
-/// {le, count} buckets, "+Inf" for the overflow bucket.
-void append_merged_histogram_json(std::string& out,
-                                  const ProcessHistogram& h) {
+/// Sparse {le, count} buckets: only non-empty ones, "+Inf" for the
+/// overflow bucket.
+void append_histogram_json(std::string& out, const ProcessHistogram& h) {
   out += "{\"count\": " + util::json_number(h.count) +
          ", \"sum\": " + util::json_number(h.sum) + ", \"buckets\": [";
   bool first = true;
@@ -316,9 +267,10 @@ std::vector<std::string> find_sidecars(const std::string& prefix) {
   return out;
 }
 
-void write_report_v2(std::ostream& out, const std::string& id,
-                     const ProcessLog& coordinator,
-                     const std::vector<ProcessLog>& workers) {
+void write_report_v2(
+    std::ostream& out, const std::string& id, const ProcessLog& coordinator,
+    const std::vector<ProcessLog>& workers,
+    const std::vector<std::pair<std::string, std::string>>& meta) {
   // --- metrics folds -------------------------------------------------------
   std::map<std::string, std::uint64_t> counters = coordinator.counters;
   std::map<std::string, ProcessHistogram> histograms = coordinator.histograms;
@@ -351,36 +303,32 @@ void write_report_v2(std::ostream& out, const std::string& id,
   }
 
   // --- span merge ----------------------------------------------------------
-  std::vector<MergedSpan> merged;
+  std::vector<SpanRecord> spans = coordinator.spans;
+  std::vector<std::uint64_t> span_pids(spans.size(), coordinator.pid);
   std::uint64_t max_id = 0;
-  for (const SpanRecord& s : coordinator.spans) {
-    merged.push_back({s, coordinator.pid});
-    max_id = std::max(max_id, s.id);
-  }
+  for (const SpanRecord& s : spans) max_id = std::max(max_id, s.id);
   for (const ProcessLog& w : workers) {
     for (const SpanRecord& s : w.spans) max_id = std::max(max_id, s.id);
   }
   std::uint64_t next_id = max_id + 1;
-  int torn_tails = 0;
   for (const ProcessLog& w : workers) {
-    if (w.torn_tail) ++torn_tails;
     const double shift = w.epoch_unix - coordinator.epoch_unix;
     std::map<std::uint64_t, std::uint64_t> remap;
     for (const SpanRecord& s : w.spans) remap[s.id] = next_id++;
     for (const SpanRecord& s : w.spans) {
-      MergedSpan m{s, w.pid};
-      m.record.id = remap[s.id];
+      SpanRecord m = s;
+      m.id = remap[s.id];
       if (s.parent_id == 0) {
-        m.record.parent_id = w.parent_span;
+        m.parent_id = w.parent_span;
       } else {
         const auto it = remap.find(s.parent_id);
         // A parent that never reached the sidecar (killed before its span
         // closed) still anchors the child under the coordinator tree.
-        m.record.parent_id =
-            it == remap.end() ? w.parent_span : it->second;
+        m.parent_id = it == remap.end() ? w.parent_span : it->second;
       }
-      m.record.start_seconds += shift;
-      merged.push_back(std::move(m));
+      m.start_seconds += shift;
+      spans.push_back(std::move(m));
+      span_pids.push_back(w.pid);
     }
   }
 
@@ -402,18 +350,20 @@ void write_report_v2(std::ostream& out, const std::string& id,
                      return a.record.t < b.record.t;
                    });
 
-  std::vector<MergedTreeNode> nodes;
-  const std::vector<std::size_t> roots = build_merged_tree(merged, nodes);
+  std::vector<std::vector<std::size_t>> children;
+  const std::vector<std::size_t> roots = build_span_forest(spans, children);
 
   // --- serialize -----------------------------------------------------------
   std::string buf;
   buf += "{\n\"schema\": " + jquote(kReportV2Schema);
   buf += ",\n\"id\": " + jquote(id);
   buf += ",\n\"trace_id\": " + jquote(coordinator.trace_id);
-  buf += ",\n\"meta\": {\"processes\": " +
-         util::json_number(std::uint64_t{workers.size() + 1}) +
-         ", \"torn_tails\": " +
-         util::json_number(static_cast<std::uint64_t>(torn_tails)) + "}";
+  buf += ",\n\"meta\": {";
+  for (std::size_t i = 0; i < meta.size(); ++i) {
+    if (i > 0) buf += ", ";
+    buf += jquote(meta[i].first) + ": " + meta[i].second;
+  }
+  buf += "}";
   buf += ",\n\"processes\": [";
   const auto append_process = [&](const ProcessLog& p, bool first) {
     buf += first ? "\n  " : ",\n  ";
@@ -439,10 +389,8 @@ void write_report_v2(std::ostream& out, const std::string& id,
     for (const std::size_t root : roots) {
       if (!first) buf += ", ";
       first = false;
-      buf += "{\"name\": " + jquote(nodes[root].span->record.name) +
-             ", \"seconds\": " +
-             util::json_number(nodes[root].span->record.duration_seconds) +
-             "}";
+      buf += "{\"name\": " + jquote(spans[root].name) + ", \"seconds\": " +
+             util::json_number(spans[root].duration_seconds) + "}";
     }
   }
   buf += "],\n\"metrics\": {\n\"counters\": {";
@@ -478,7 +426,7 @@ void write_report_v2(std::ostream& out, const std::string& id,
       if (!first) buf += ", ";
       first = false;
       buf += jquote(name) + ": ";
-      append_merged_histogram_json(buf, hist);
+      append_histogram_json(buf, hist);
     }
   }
   buf += "}\n},\n\"events\": [";
@@ -503,43 +451,10 @@ void write_report_v2(std::ostream& out, const std::string& id,
   buf += ",\n\"spans\": [";
   for (std::size_t i = 0; i < roots.size(); ++i) {
     buf += i == 0 ? "\n  " : ",\n  ";
-    append_merged_span_json(buf, nodes, roots[i], 1);
+    append_span_json(buf, spans, span_pids, children, roots[i], 1);
   }
   buf += roots.empty() ? "]\n}\n" : "\n]\n}\n";
   out << buf;
-}
-
-void write_merged_report_file(const std::string& path, const std::string& id,
-                              const std::string& sidecar_prefix,
-                              const std::string& trace_id) {
-  const ProcessLog coordinator = live_process_log("coordinator", trace_id);
-  const std::vector<std::string> sidecar_files = find_sidecars(sidecar_prefix);
-  std::vector<ProcessLog> workers;
-  for (const std::string& file : sidecar_files) {
-    try {
-      workers.push_back(read_sidecar(file));
-    } catch (const util::IoError& e) {
-      std::fprintf(stderr, "warning: skipping obs sidecar: %s\n", e.what());
-    }
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) {
-    throw util::IoError("obs report: cannot open " + path);
-  }
-  write_report_v2(out, id, coordinator, workers);
-  out.flush();
-  if (!out.good()) {
-    throw util::IoError("obs report: failed writing " + path);
-  }
-  // The merged report now holds everything the sidecars did; only after the
-  // successful write do the sidecars (including our own) stop being needed
-  // for postmortems.
-  std::error_code ec;
-  for (const std::string& file : sidecar_files) {
-    std::filesystem::remove(file, ec);
-  }
-  std::filesystem::remove(
-      sidecar_prefix + std::to_string(sidecar_pid()) + ".jsonl", ec);
 }
 
 namespace {

@@ -1,9 +1,11 @@
-// Cross-process aggregation: sidecar files in, one "sgp-obs-report v2"
-// document out.
+// The "sgp-obs-report v2" writer and validator, and the cross-process
+// aggregation behind them: sidecar files in, one document out. The schema
+// and its two front doors are described in obs/report.hpp.
 //
 // The distributed publish leaves one observability sidecar per process
 // (obs/event_log.hpp). When the run ends the coordinator folds them — plus
-// its own live registry/trace state — into a single merged report:
+// its own live registry/trace state — into a single merged report; a
+// single-process report is the same fold with no workers:
 //
 //   * counters are summed across processes;
 //   * histograms are bucket-merged (dense per-index count addition — an
@@ -20,10 +22,9 @@
 //     process trace epochs;
 //   * events merge into one time-ordered stream tagged with the source pid.
 //
-// The same module validates the v2 schema and renders the merged document
-// as a Chrome trace-event / Perfetto-compatible JSON timeline plus a text
-// summary (per-shard Gantt, lease reclaim gaps, critical path) for the
-// sgp_trace tool.
+// The same module renders a report as a Chrome trace-event /
+// Perfetto-compatible JSON timeline plus a text summary (per-shard Gantt,
+// lease reclaim gaps, critical path) for the sgp_trace tool.
 #pragma once
 
 #include <array>
@@ -32,6 +33,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/event_log.hpp"
@@ -95,22 +97,17 @@ struct ProcessLog {
 [[nodiscard]] std::vector<std::string> find_sidecars(
     const std::string& prefix);
 
-/// Serializes the merged v2 report. `coordinator` anchors the time frame
-/// and the span tree; worker logs merge into it as documented above.
-void write_report_v2(std::ostream& out, const std::string& id,
-                     const ProcessLog& coordinator,
-                     const std::vector<ProcessLog>& workers);
+/// Serializes the v2 report, the one report writer. `coordinator` anchors
+/// the time frame and the span tree; worker logs merge into it as
+/// documented above. `meta` becomes the document's "meta" object: each key
+/// with its value already rendered as JSON, in order.
+void write_report_v2(
+    std::ostream& out, const std::string& id, const ProcessLog& coordinator,
+    const std::vector<ProcessLog>& workers,
+    const std::vector<std::pair<std::string, std::string>>& meta = {});
 
-/// One-call driver for the tools: merges live coordinator state with every
-/// sidecar under `sidecar_prefix`, writes the v2 report to `path`, and —
-/// only after a successful write — deletes the consumed sidecars (they
-/// survive any earlier crash for postmortem reads). Throws util::IoError
-/// on write failure.
-void write_merged_report_file(const std::string& path, const std::string& id,
-                              const std::string& sidecar_prefix,
-                              const std::string& trace_id);
-
-/// Schema check for the v2 document, in the style of validate_report_json.
+/// Checks a parsed document against the v2 schema. Returns std::nullopt on
+/// success, else a human-readable description of the first violation.
 [[nodiscard]] std::optional<std::string> validate_report_v2_json(
     const util::JsonValue& doc);
 

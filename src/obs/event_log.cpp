@@ -1,5 +1,6 @@
 #include "obs/event_log.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <mutex>
 
@@ -10,6 +11,7 @@
 #include "util/durable.hpp"
 #include "util/errors.hpp"
 #include "util/json.hpp"
+#include "util/splitmix.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -274,5 +276,17 @@ void clear_event_log() {
 }
 
 std::uint64_t sidecar_pid() { return this_pid(); }
+
+std::string mint_trace_id() {
+  const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::system_clock::now().time_since_epoch())
+                         .count();
+  const std::uint64_t mixed = util::splitmix64(
+      static_cast<std::uint64_t>(nanos) ^ (this_pid() << 32));
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(mixed));
+  return hex;
+}
 
 }  // namespace sgp::obs

@@ -99,6 +99,11 @@ void clear_event_log();
 /// This process's pid as the sidecar reports it (0 where unavailable).
 [[nodiscard]] std::uint64_t sidecar_pid();
 
+/// A fresh 16-hex trace id: wall-clock nanoseconds mixed with the pid
+/// through util::splitmix64. Uniqueness across concurrent processes is what
+/// matters; this is an identifier, not randomness for the mechanism.
+[[nodiscard]] std::string mint_trace_id();
+
 /// CRC framing shared with the sidecar reader (obs/aggregate.hpp):
 /// `frame` -> `<body> crc <8-hex-crc32>`; `unframe` validates a line and
 /// strips the trailer into `body`, returning false for torn/corrupt lines.

@@ -151,63 +151,6 @@ MetricsSnapshot snapshot_metrics() {
   return snap;
 }
 
-namespace {
-
-void append_histogram_json(std::string& out, const Histogram::Snapshot& snap) {
-  out += "{\"count\": ";
-  out += util::json_number(snap.count);
-  out += ", \"sum\": ";
-  out += util::json_number(snap.sum);
-  out += ", \"buckets\": [";
-  bool first = true;
-  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-    if (snap.buckets[b] == 0) continue;  // sparse: empty buckets add noise
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"le\": ";
-    out += b + 1 == Histogram::kBuckets
-               ? std::string("\"+Inf\"")
-               : util::json_number(Histogram::upper_bound(b));
-    out += ", \"count\": ";
-    out += util::json_number(snap.buckets[b]);
-    out += "}";
-  }
-  out += "]}";
-}
-
-}  // namespace
-
-void write_metrics_json(std::ostream& out) {
-  const MetricsSnapshot snap = snapshot_metrics();
-  std::string buf;
-  buf += "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    buf += i == 0 ? "\n    " : ",\n    ";
-    util::append_json_string(buf, snap.counters[i].first);
-    buf += ": ";
-    buf += util::json_number(snap.counters[i].second);
-  }
-  buf += snap.counters.empty() ? "},\n" : "\n  },\n";
-  buf += "  \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    buf += i == 0 ? "\n    " : ",\n    ";
-    util::append_json_string(buf, snap.gauges[i].first);
-    buf += ": ";
-    buf += util::json_number(snap.gauges[i].second);
-  }
-  buf += snap.gauges.empty() ? "},\n" : "\n  },\n";
-  buf += "  \"histograms\": {";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    buf += i == 0 ? "\n    " : ",\n    ";
-    util::append_json_string(buf, snap.histograms[i].first);
-    buf += ": ";
-    append_histogram_json(buf, snap.histograms[i].second);
-  }
-  buf += snap.histograms.empty() ? "}\n" : "\n  }\n";
-  buf += "}\n";
-  out << buf;
-}
-
 void write_metrics_prometheus(std::ostream& out) {
   const MetricsSnapshot snap = snapshot_metrics();
   std::string buf;

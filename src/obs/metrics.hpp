@@ -19,8 +19,8 @@
 //
 // Naming convention (docs/observability.md): lowercase dotted paths,
 // "subsystem.noun[.verb]"; histograms that record durations end in
-// ".seconds". Exporters: write_metrics_json() and write_metrics_prometheus()
-// below, plus the combined obs::Report (obs/report.hpp).
+// ".seconds". Exporters: write_metrics_prometheus() below and the JSON
+// report (obs/report.hpp).
 #pragma once
 
 #include <array>
@@ -162,13 +162,10 @@ struct MetricsSnapshot {
 };
 [[nodiscard]] MetricsSnapshot snapshot_metrics();
 
-/// Exporters. JSON:   {"counters": {...}, "gauges": {...},
-///                     "histograms": {"x": {"count": c, "sum": s,
-///                                          "buckets": [{"le": u, "count": n},
-///                                          ...]}}}
-/// Prometheus text: one "sgp_"-prefixed family per metric, dots mapped to
-/// underscores, histograms as cumulative _bucket{le=...}/_sum/_count.
-void write_metrics_json(std::ostream& out);
+/// Prometheus text exporter: one "sgp_"-prefixed family per metric, dots
+/// mapped to underscores, histograms as cumulative _bucket{le=...}/_sum/
+/// _count. The JSON view of the registry is the report's "metrics" block
+/// (obs/report.hpp).
 void write_metrics_prometheus(std::ostream& out);
 
 }  // namespace sgp::obs

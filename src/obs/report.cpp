@@ -1,22 +1,37 @@
 #include "obs/report.hpp"
 
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/aggregate.hpp"
+#include "obs/event_log.hpp"
+#include "util/check.hpp"
 #include "util/errors.hpp"
 #include "util/json.hpp"
 
 namespace sgp::obs {
 namespace {
 
-constexpr const char kSchema[] = "sgp-obs-report v1";
-
 std::string quoted(std::string_view s) {
   std::string out;
   util::append_json_string(out, s);
   return out;
+}
+
+/// Opens `path` (truncating), lets `render` write the report, and checks
+/// that every byte reached the file.
+template <typename Render>
+void write_report_file(const std::string& path, Render render) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.good()) {
+    throw util::IoError("report: cannot open " + path);
+  }
+  render(out);
+  out.flush();
+  if (!out.good()) {
+    throw util::IoError("report: failed writing " + path);
+  }
 }
 
 }  // namespace
@@ -52,148 +67,42 @@ Report& Report::meta(std::string_view key, bool value) {
 }
 
 void Report::write(std::ostream& out) const {
-  std::string buf;
-  buf += "{\n\"schema\": ";
-  buf += quoted(kSchema);
-  buf += ",\n\"id\": ";
-  buf += quoted(id_);
-  buf += ",\n\"meta\": {";
-  for (std::size_t i = 0; i < meta_.size(); ++i) {
-    if (i > 0) buf += ", ";
-    buf += quoted(meta_[i].first) + ": " + meta_[i].second;
-  }
-  buf += "},\n\"phases\": [";
-  // Root spans in completion order; only finished spans exist here.
-  const std::vector<SpanRecord> spans = collected_spans();
-  bool first = true;
-  for (const SpanRecord& span : spans) {
-    if (span.parent_id != 0) continue;
-    if (!first) buf += ", ";
-    first = false;
-    buf += "{\"name\": " + quoted(span.name) +
-           ", \"seconds\": " + util::json_number(span.duration_seconds) + "}";
-  }
-  buf += "],\n\"metrics\": ";
-  out << buf;
-  {
-    std::ostringstream metrics;
-    write_metrics_json(metrics);
-    std::string text = metrics.str();
-    while (!text.empty() && text.back() == '\n') text.pop_back();
-    out << text;
-  }
-  out << ",\n\"spans\": ";
-  {
-    std::ostringstream trace;
-    write_trace_json(trace);
-    std::string text = trace.str();
-    while (!text.empty() && text.back() == '\n') text.pop_back();
-    out << text;
-  }
-  out << "\n}\n";
+  write_report_v2(out, id_, live_process_log("coordinator", mint_trace_id()),
+                  {}, meta_);
 }
 
 void Report::write_file(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) {
-    throw util::IoError("report: cannot open " + path);
-  }
-  write(out);
-  out.flush();
-  if (!out.good()) {
-    throw util::IoError("report: failed writing " + path);
-  }
+  write_report_file(path, [this](std::ostream& out) { write(out); });
 }
 
-namespace {
-
-std::optional<std::string> check_metrics_block(const util::JsonValue& doc) {
-  const util::JsonValue* metrics = doc.find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    return "missing or non-object 'metrics'";
-  }
-  for (const char* section : {"counters", "gauges", "histograms"}) {
-    const util::JsonValue* block = metrics->find(section);
-    if (block == nullptr || !block->is_object()) {
-      return std::string("metrics: missing or non-object '") + section + "'";
+void write_merged_report_file(const std::string& path, const std::string& id,
+                              const std::string& sidecar_prefix,
+                              const std::string& trace_id) {
+  // An empty prefix would match every *.jsonl in the working directory.
+  util::require(!sidecar_prefix.empty(),
+                "write_merged_report_file: sidecar prefix must be non-empty");
+  const ProcessLog coordinator = live_process_log("coordinator", trace_id);
+  const std::vector<std::string> sidecar_files = find_sidecars(sidecar_prefix);
+  std::vector<ProcessLog> workers;
+  for (const std::string& file : sidecar_files) {
+    try {
+      workers.push_back(read_sidecar(file));
+    } catch (const util::IoError& e) {
+      std::fprintf(stderr, "warning: skipping obs sidecar: %s\n", e.what());
     }
   }
-  for (const auto& [name, value] : metrics->find("counters")->as_object()) {
-    if (!value.is_number()) {
-      return "metrics.counters." + name + ": not a number";
-    }
+  write_report_file(path, [&](std::ostream& out) {
+    write_report_v2(out, id, coordinator, workers);
+  });
+  // The merged report now holds everything the sidecars did; only after the
+  // successful write do the sidecars (including our own) stop being needed
+  // for postmortems.
+  std::error_code ec;
+  for (const std::string& file : sidecar_files) {
+    std::filesystem::remove(file, ec);
   }
-  for (const auto& [name, hist] : metrics->find("histograms")->as_object()) {
-    if (!hist.is_object() || hist.find("count") == nullptr ||
-        !hist.find("count")->is_number() || hist.find("sum") == nullptr ||
-        !hist.find("sum")->is_number() || hist.find("buckets") == nullptr ||
-        !hist.find("buckets")->is_array()) {
-      return "metrics.histograms." + name +
-             ": expected {count, sum, buckets[]}";
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> check_spans(const util::JsonValue& spans,
-                                       const std::string& path) {
-  if (!spans.is_array()) return path + ": not an array";
-  for (std::size_t i = 0; i < spans.as_array().size(); ++i) {
-    const util::JsonValue& span = spans.as_array()[i];
-    const std::string here = path + "[" + std::to_string(i) + "]";
-    if (!span.is_object()) return here + ": not an object";
-    if (span.find("name") == nullptr || !span.find("name")->is_string()) {
-      return here + ": missing string 'name'";
-    }
-    for (const char* field : {"start", "duration"}) {
-      if (span.find(field) == nullptr || !span.find(field)->is_number()) {
-        return here + ": missing number '" + std::string(field) + "'";
-      }
-    }
-    const util::JsonValue* children = span.find("children");
-    if (children == nullptr) return here + ": missing 'children'";
-    if (auto err = check_spans(*children, here + ".children")) return err;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<std::string> validate_report_json(const util::JsonValue& doc) {
-  if (!doc.is_object()) return "document is not an object";
-  const util::JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    return "missing string 'schema'";
-  }
-  if (schema->as_string() != kSchema) {
-    return "unknown schema '" + schema->as_string() + "' (expected '" +
-           kSchema + "')";
-  }
-  const util::JsonValue* id = doc.find("id");
-  if (id == nullptr || !id->is_string() || id->as_string().empty()) {
-    return "missing non-empty string 'id'";
-  }
-  const util::JsonValue* meta = doc.find("meta");
-  if (meta == nullptr || !meta->is_object()) {
-    return "missing or non-object 'meta'";
-  }
-  const util::JsonValue* phases = doc.find("phases");
-  if (phases == nullptr || !phases->is_array()) {
-    return "missing or non-array 'phases'";
-  }
-  for (std::size_t i = 0; i < phases->as_array().size(); ++i) {
-    const util::JsonValue& phase = phases->as_array()[i];
-    if (!phase.is_object() || phase.find("name") == nullptr ||
-        !phase.find("name")->is_string() || phase.find("seconds") == nullptr ||
-        !phase.find("seconds")->is_number()) {
-      return "phases[" + std::to_string(i) +
-             "]: expected {name: string, seconds: number}";
-    }
-  }
-  if (auto err = check_metrics_block(doc)) return err;
-  const util::JsonValue* spans = doc.find("spans");
-  if (spans == nullptr) return "missing 'spans'";
-  return check_spans(*spans, "spans");
+  std::filesystem::remove(
+      sidecar_prefix + std::to_string(sidecar_pid()) + ".jsonl", ec);
 }
 
 }  // namespace sgp::obs

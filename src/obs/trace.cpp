@@ -65,77 +65,10 @@ Collector& collector() {
 
 std::string format_double(double v) { return util::json_number(v); }
 
-struct TreeNode {
-  const SpanRecord* record = nullptr;
-  std::vector<std::size_t> children;  // indexes into the node vector
-};
-
-/// Builds the forest (indexes into `nodes`; roots returned separately),
-/// ordered by start time.
-std::vector<std::size_t> build_tree(const std::vector<SpanRecord>& spans,
-                                    std::vector<TreeNode>& nodes) {
-  nodes.resize(spans.size());
-  std::vector<std::size_t> order(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    nodes[i].record = &spans[i];
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return spans[a].start_seconds < spans[b].start_seconds;
-  });
-  // Map id -> node index for parent lookup.
-  std::vector<std::pair<std::uint64_t, std::size_t>> by_id(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) by_id[i] = {spans[i].id, i};
-  std::sort(by_id.begin(), by_id.end());
-  const auto find_node = [&](std::uint64_t id) -> std::size_t {
-    const auto it = std::lower_bound(
-        by_id.begin(), by_id.end(), std::make_pair(id, std::size_t{0}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    if (it == by_id.end() || it->first != id) return spans.size();
-    return it->second;
-  };
-  std::vector<std::size_t> roots;
-  for (const std::size_t i : order) {
-    const std::uint64_t parent = spans[i].parent_id;
-    const std::size_t parent_node =
-        parent == 0 ? spans.size() : find_node(parent);
-    if (parent_node == spans.size()) {
-      // Root, or the parent closed before a clear_spans() — treat as root.
-      roots.push_back(i);
-    } else {
-      nodes[parent_node].children.push_back(i);
-    }
-  }
-  return roots;
-}
-
-void append_span_json(std::string& out, const std::vector<TreeNode>& nodes,
+void append_span_text(std::string& out, const std::vector<SpanRecord>& spans,
+                      const std::vector<std::vector<std::size_t>>& children,
                       std::size_t index, int depth) {
-  const SpanRecord& r = *nodes[index].record;
-  const std::string pad(static_cast<std::size_t>(depth) * 2 + 2, ' ');
-  out += "{\"name\": ";
-  util::append_json_string(out, r.name);
-  out += ", \"start\": " + format_double(r.start_seconds);
-  out += ", \"duration\": " + format_double(r.duration_seconds);
-  out += ", \"thread\": " + util::json_number(std::uint64_t{r.thread});
-  out += ", \"attrs\": {";
-  for (std::size_t i = 0; i < r.attrs.size(); ++i) {
-    if (i > 0) out += ", ";
-    util::append_json_string(out, r.attrs[i].first);
-    out += ": ";
-    util::append_json_string(out, r.attrs[i].second);
-  }
-  out += "}, \"children\": [";
-  for (std::size_t i = 0; i < nodes[index].children.size(); ++i) {
-    out += i == 0 ? "\n" + pad : ",\n" + pad;
-    append_span_json(out, nodes, nodes[index].children[i], depth + 1);
-  }
-  out += "]}";
-}
-
-void append_span_text(std::string& out, const std::vector<TreeNode>& nodes,
-                      std::size_t index, int depth) {
-  const SpanRecord& r = *nodes[index].record;
+  const SpanRecord& r = spans[index];
   char line[256];
   const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
   std::snprintf(line, sizeof(line), "%-40s %10.4fs",
@@ -145,8 +78,8 @@ void append_span_text(std::string& out, const std::vector<TreeNode>& nodes,
     out += "  " + key + "=" + value;
   }
   out += '\n';
-  for (const std::size_t child : nodes[index].children) {
-    append_span_text(out, nodes, child, depth + 1);
+  for (const std::size_t child : children[index]) {
+    append_span_text(out, spans, children, child, depth + 1);
   }
 }
 
@@ -234,26 +167,43 @@ void clear_spans() {
   c.spans.clear();
 }
 
-void write_trace_json(std::ostream& out) {
-  const std::vector<SpanRecord> spans = collected_spans();
-  std::vector<TreeNode> nodes;
-  const std::vector<std::size_t> roots = build_tree(spans, nodes);
-  std::string buf = "[";
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    buf += i == 0 ? "\n  " : ",\n  ";
-    append_span_json(buf, nodes, roots[i], 1);
+std::vector<std::size_t> build_span_forest(
+    const std::vector<SpanRecord>& spans,
+    std::vector<std::vector<std::size_t>>& children) {
+  children.assign(spans.size(), {});
+  std::vector<std::size_t> order(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return spans[a].start_seconds < spans[b].start_seconds;
+                   });
+  // Map id -> index for parent lookup.
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_id(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) by_id[i] = {spans[i].id, i};
+  std::sort(by_id.begin(), by_id.end());
+  std::vector<std::size_t> roots;
+  for (const std::size_t i : order) {
+    const std::uint64_t parent = spans[i].parent_id;
+    const auto it = std::lower_bound(
+        by_id.begin(), by_id.end(), std::make_pair(parent, std::size_t{0}));
+    if (parent == 0 || it == by_id.end() || it->first != parent) {
+      // Root, or a parent not among `spans` (one that closed before a
+      // clear_spans(), say) — treat as root.
+      roots.push_back(i);
+    } else {
+      children[it->second].push_back(i);
+    }
   }
-  buf += roots.empty() ? "]\n" : "\n]\n";
-  out << buf;
+  return roots;
 }
 
 void write_trace_text(std::ostream& out) {
   const std::vector<SpanRecord> spans = collected_spans();
-  std::vector<TreeNode> nodes;
-  const std::vector<std::size_t> roots = build_tree(spans, nodes);
+  std::vector<std::vector<std::size_t>> children;
+  const std::vector<std::size_t> roots = build_span_forest(spans, children);
   std::string buf;
   for (const std::size_t root : roots) {
-    append_span_text(buf, nodes, root, 0);
+    append_span_text(buf, spans, children, root, 0);
   }
   out << buf;
 }

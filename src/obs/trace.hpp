@@ -4,8 +4,9 @@
 // live *on the same thread* become its children (each thread keeps its own
 // span stack; work handed to thread_pool workers starts a new root on that
 // worker — cross-thread parenting is intentionally not inferred). Finished
-// spans land in a process-wide collector that the exporters turn into a
-// parent/child tree.
+// spans land in a process-wide collector; build_span_forest() turns them
+// into the parent/child tree the report (obs/report.hpp) and the --trace
+// text render.
 //
 // Like the metrics registry, tracing is compiled in but gated: while
 // trace_enabled() is false a Span is inert and construction costs one
@@ -99,11 +100,12 @@ void clear_spans();
 /// which their span forests are re-attached at merge time.
 [[nodiscard]] std::uint64_t current_span_id();
 
-/// Writes the span forest as JSON:
-///   [{"name": ..., "start": s, "duration": d, "thread": t,
-///     "attrs": {...}, "children": [...]}, ...]
-/// Roots are ordered by start time, children likewise.
-void write_trace_json(std::ostream& out);
+/// The span forest over `spans`, as indexes into it: fills children[i] with
+/// span i's children and returns the roots. A span whose parent is 0 or not
+/// among `spans` is a root. Roots and siblings are ordered by start time.
+[[nodiscard]] std::vector<std::size_t> build_span_forest(
+    const std::vector<SpanRecord>& spans,
+    std::vector<std::vector<std::size_t>>& children);
 
 /// Human-readable indented tree ("--trace" output), one span per line:
 ///   publish                         1.234s

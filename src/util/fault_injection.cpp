@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/errors.hpp"
+#include "util/splitmix.hpp"
 
 namespace sgp::util {
 namespace {
@@ -45,16 +46,8 @@ void refresh_mode_locked() {
   g_mode.store(kIdle, std::memory_order_relaxed);
 }
 
-// SplitMix64 (inlined here: util must not depend on random/). Drives the
-// probability draws so a fired/skipped sequence is a pure function of
-// (seed, hit index).
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+// Probability draws are a pure function of (seed, hit index), so a
+// fired/skipped sequence replays exactly.
 double uniform01(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }

@@ -6,10 +6,9 @@
 // a transient environment (util/errors.hpp); everything else (parse,
 // precondition, budget, internal) is deterministic and retrying it would
 // just repeat the failure. The jitter is a pure function of
-// (policy.seed, attempt index) — the same splitmix64 finalizer the fault
-// framework uses (inlined here: util must not depend on random/) — so a
-// retried schedule replays exactly and never couples to wall clock or
-// global RNG state.
+// (policy.seed, attempt index) — util::splitmix64, the finalizer the fault
+// framework uses too — so a retried schedule replays exactly and never
+// couples to wall clock or global RNG state.
 //
 // Every retry (attempt 2..N) increments the canonical `retry.attempts`
 // counter. Sleeping is injectable so tests (and single-shot callers) never
@@ -27,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/errors.hpp"
+#include "util/splitmix.hpp"
 
 namespace sgp::util {
 
@@ -50,15 +50,6 @@ struct RetryPolicy {
 
 namespace detail {
 
-// SplitMix64 finalizer (duplicated from util/fault_injection.cpp for the
-// same reason: util must not depend on random/).
-inline std::uint64_t retry_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 inline double retry_uniform01(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
@@ -77,7 +68,7 @@ inline double retry_uniform01(std::uint64_t bits) {
   }
   backoff = std::min(backoff, policy.max_backoff_seconds);
   const double u = detail::retry_uniform01(
-      detail::retry_mix(policy.seed ^ static_cast<std::uint64_t>(attempt)));
+      splitmix64(policy.seed ^ static_cast<std::uint64_t>(attempt)));
   return backoff * (1.0 - policy.jitter * u);
 }
 

@@ -5,7 +5,8 @@
 //   0  clean tree          1  findings          2  usage error
 //
 // An unknown --rules id must fail fast with exit 2 and list every valid
-// id, so a typo'd CI invocation cannot silently lint nothing.
+// id, so a typo'd CI invocation cannot silently lint nothing; an unknown
+// flag exits 2 too.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -81,6 +82,15 @@ TEST(LintCliTest, ScanSummaryGoesToStderr) {
   const CliResult result =
       run_lint_cli("--root " SGP_LINT_FIXTURE_DIR " --no-baseline");
   EXPECT_NE(result.stderr_text.find("file(s) scanned"), std::string::npos)
+      << result.stderr_text;
+}
+
+// A misspelt flag used to be ignored: --rulz R1 linted every rule.
+TEST(LintCliTest, UnreadFlagExitsUsageError) {
+  const CliResult result = run_lint_cli(
+      "--root " SGP_LINT_FIXTURE_DIR " --no-baseline --rulz R1");
+  EXPECT_EQ(result.exit_code, 2) << result.stderr_text;
+  EXPECT_NE(result.stderr_text.find("--rulz"), std::string::npos)
       << result.stderr_text;
 }
 

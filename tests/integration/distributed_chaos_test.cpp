@@ -30,8 +30,10 @@
 #include "core/serialization.hpp"
 #include "core/session.hpp"
 #include "core/sharded_publish.hpp"
+#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/shard_loader.hpp"
+#include "random/rng.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/json.hpp"
@@ -520,6 +522,39 @@ TEST_F(DistributedChaosTest, InProcessIgnoresLogOfOtherOptions) {
   const auto result = publish_distributed(reader, in_process(), out_path_);
   EXPECT_EQ(result.shards_resumed, 0u);
   EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath));
+  expect_no_side_files();
+}
+
+// The log names its input: rerun over another edge list with the same
+// node count, the coordinator starts from shard 0 instead of keeping the
+// prefix the old list produced.
+TEST_F(DistributedChaosTest, InProcessIgnoresLogOfAnotherEdgeList) {
+  const std::string edges =
+      (std::filesystem::path(testing::TempDir()) / (stem_ + ".edges"))
+          .string();
+  std::filesystem::copy_file(kEdgesPath, edges,
+                             std::filesystem::copy_options::overwrite_existing);
+  {
+    graph::EdgeListShardReader reader(edges, graph::IdPolicy::kPreserve);
+    util::arm_fault("io.shard.write", {.after = 2});
+    EXPECT_THROW(publish_distributed(reader, in_process(), out_path_),
+                 util::IoError);
+    util::disarm_all_faults();
+  }
+  ASSERT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+
+  random::Rng rng(5);
+  const graph::Graph other = graph::barabasi_albert(24, 2, rng);
+  graph::write_edge_list_file(other, edges);
+  graph::EdgeListShardReader reader(edges, graph::IdPolicy::kPreserve);
+  ASSERT_EQ(reader.num_nodes(), 24u);
+  const auto result = publish_distributed(reader, in_process(), out_path_);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  std::ostringstream expected(std::ios::binary);
+  publish_to_stream(
+      graph::read_edge_list_file(edges, graph::IdPolicy::kPreserve),
+      in_process().sharded.publish, expected);
+  EXPECT_EQ(file_bytes(out_path_), expected.str());
   expect_no_side_files();
 }
 

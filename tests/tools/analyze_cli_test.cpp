@@ -5,9 +5,9 @@
 //   0  ok          2  usage error          3  data error
 //
 // Unknown --task / --mechanism values must fail fast with exit 2 and list
-// every valid value (the sgp_lint --rules shape), and --compare-mechanisms
-// must render the E14 grid from a BENCH_E14.json report alone — no release
-// file involved.
+// every valid value (the sgp_lint --rules shape), any flag the mode does
+// not read exits 2, and --compare-mechanisms must render the E14 grid from
+// a BENCH_E14.json report alone — no release file involved.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +17,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "core/publisher.hpp"
+#include "core/serialization.hpp"
+#include "graph/graph.hpp"
 
 namespace {
 
@@ -175,6 +180,42 @@ TEST(AnalyzeCliTest, CompareRejectsNonE14ReportsAsDataErrors) {
   EXPECT_EQ(result.exit_code, 3) << result.stderr_text;
   EXPECT_NE(result.stderr_text.find("not an E14"), std::string::npos)
       << result.stderr_text;
+}
+
+// A flag the chosen mode and task do not read exits 2 and is named: the
+// typo --tpo used to rank the default top 100, and --clusters was ignored
+// by every task but cluster.
+TEST(AnalyzeCliTest, UnreadFlagsExitUsageError) {
+  const std::string release = scratch_path("sgp_analyze_cli.bin");
+  {
+    sgp::core::RandomProjectionPublisher::Options opt;
+    opt.projection_dim = 2;
+    const std::vector<sgp::graph::Edge> edges = {
+        {0, 1}, {1, 2}, {2, 3}, {3, 0}};
+    const sgp::graph::Graph g = sgp::graph::Graph::from_edges(4, edges);
+    sgp::core::save_published_file(
+        sgp::core::RandomProjectionPublisher(opt).publish(g), release);
+  }
+  const struct {
+    std::string args;
+    const char* named;
+  } cases[] = {
+      {"--task rank --tpo 5", "--tpo"},
+      {"--task info --clusters 4", "--clusters"},
+      {"--task rank --mechanism privgraph", "--mechanism"},
+  };
+  for (const auto& c : cases) {
+    const CliResult result =
+        run_analyze_cli("--release '" + release + "' " + c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.args << ": " << result.stderr_text;
+    EXPECT_NE(result.stderr_text.find(c.named), std::string::npos)
+        << c.args << ": " << result.stderr_text;
+    EXPECT_TRUE(result.stdout_text.empty()) << c.args;
+  }
+  const CliResult ok =
+      run_analyze_cli("--release '" + release + "' --task rank --top 2");
+  EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
+  std::filesystem::remove(release);
 }
 
 }  // namespace

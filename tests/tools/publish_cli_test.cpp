@@ -3,7 +3,11 @@
 // publish must refuse them with exit 2 (usage) and name the flags that
 // select out-of-core publishing, instead of ignoring them. A malformed
 // number is a usage error too, and so is any flag the chosen mode does not
-// read, in sgp_publish and sgp_stats alike.
+// read, in sgp_publish, sgp_stats, sgp_generate and sgp_trace alike.
+//
+// The --metrics-out report is the one observability schema: every tool's
+// report, in every publish mode, passes sgp_bench_check and renders through
+// sgp_trace.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +18,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace {
 
@@ -49,6 +55,26 @@ class PublishCliTest : public testing::Test {
   CliResult stats(const std::string& flags) const {
     return run(std::string(SGP_STATS_BIN) + " --edges '" + edges_ + "' " +
                flags);
+  }
+
+  /// Checks `report` with sgp_bench_check, renders it with sgp_trace
+  /// --chrome and validates the export; returns the parsed report.
+  static sgp::util::JsonValue expect_renders(const std::string& report) {
+    const CliResult check = run(std::string(SGP_BENCH_CHECK_BIN) + " '" +
+                                report + "'");
+    EXPECT_EQ(check.exit_code, 0) << report << ": " << check.stderr_text;
+    const std::string chrome = report + ".chrome.json";
+    const CliResult trace = run(std::string(SGP_TRACE_BIN) + " --report '" +
+                                report + "' --chrome '" + chrome + "'");
+    EXPECT_EQ(trace.exit_code, 0) << report << ": " << trace.stderr_text;
+    const CliResult valid = run(std::string(SGP_TRACE_BIN) +
+                                " --validate-chrome '" + chrome + "'");
+    EXPECT_EQ(valid.exit_code, 0) << report << ": " << valid.stderr_text;
+    std::filesystem::remove(chrome);
+    std::ifstream in(report, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return sgp::util::parse_json(buf.str());
   }
 
   static CliResult run(const std::string& command) {
@@ -163,6 +189,121 @@ TEST_F(PublishCliTest, StatsRejectsUnusedFlags) {
       << typo.stderr_text;
   const CliResult ok = stats("--epsilon 0.5 --seed 3");
   EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
+}
+
+// --metrics-out turns span collection on: the single-process report used
+// to carry "phases": [] and no spans, and sgp_trace refused its schema.
+TEST_F(PublishCliTest, MetricsOutReportCarriesSpansAndRenders) {
+  const std::string report = temp_path("sgp_publish_cli_report.json");
+  const CliResult result = publish("--metrics-out '" + report + "'");
+  ASSERT_EQ(result.exit_code, 0) << result.stderr_text;
+  // The stderr span tree stays behind --trace.
+  EXPECT_EQ(result.stderr_text.find("--- trace"), std::string::npos)
+      << result.stderr_text;
+  const sgp::util::JsonValue doc = expect_renders(report);
+  bool root = false;
+  for (const sgp::util::JsonValue& span : doc.find("spans")->as_array()) {
+    root = root || span.find("name")->as_string() == "tool.publish";
+  }
+  EXPECT_TRUE(root) << "no root span tool.publish";
+  std::filesystem::remove(report);
+}
+
+// One schema for every report: each publish mode, and the other tools that
+// take the observability flags (sgp_analyze reads the release the publishes
+// before it wrote).
+TEST_F(PublishCliTest, EveryToolReportIsOneSchema) {
+  const std::string report = temp_path("sgp_publish_cli_any.json");
+  const std::vector<std::string> commands = {
+      std::string(SGP_PUBLISH_BIN) + " --edges '" + edges_ + "' --out '" +
+          release_ + "' --dim 2",
+      std::string(SGP_PUBLISH_BIN) + " --edges '" + edges_ + "' --out '" +
+          release_ + "' --dim 2 --shard-rows 2",
+      std::string(SGP_PUBLISH_BIN) + " --edges '" + edges_ + "' --out '" +
+          release_ + "' --dim 2 --workers 2",
+      std::string(SGP_ANALYZE_BIN) + " --release '" + release_ +
+          "' --task rank",
+      std::string(SGP_STATS_BIN) + " --edges '" + edges_ + "'",
+      std::string(SGP_GENERATE_BIN) + " --model er --nodes 20 --out '" +
+          edges_ + ".gen'",
+  };
+  for (const std::string& command : commands) {
+    const CliResult result = run(command + " --metrics-out '" + report + "'");
+    ASSERT_EQ(result.exit_code, 0) << command << ": " << result.stderr_text;
+    const sgp::util::JsonValue doc = expect_renders(report);
+    EXPECT_EQ(doc.find("schema")->as_string(), "sgp-obs-report v2")
+        << command;
+    EXPECT_FALSE(doc.find("spans")->as_array().empty()) << command;
+    std::filesystem::remove(report);
+  }
+  std::filesystem::remove(edges_ + ".gen");
+}
+
+// --metrics-format means nothing without --metrics-out: it used to be
+// dropped silently; now it is an unread flag.
+TEST_F(PublishCliTest, MetricsFormatNeedsMetricsOut) {
+  for (const bool use_stats : {false, true}) {
+    const CliResult result = use_stats
+                                 ? stats("--metrics-format prometheus")
+                                 : publish("--metrics-format prometheus");
+    EXPECT_EQ(result.exit_code, 2) << result.stderr_text;
+    EXPECT_NE(result.stderr_text.find("--metrics-format"), std::string::npos)
+        << result.stderr_text;
+  }
+  EXPECT_FALSE(std::filesystem::exists(release_));
+  const std::string metrics = temp_path("sgp_publish_cli.prom");
+  const CliResult ok = publish("--metrics-out '" + metrics +
+                               "' --metrics-format prometheus");
+  EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
+  std::ifstream in(metrics, std::ios::binary);
+  std::string first_line;
+  std::getline(in, first_line);
+  EXPECT_EQ(first_line.rfind("# TYPE sgp_", 0), 0u) << first_line;
+  std::filesystem::remove(metrics);
+}
+
+// A typo, or a flag of another model, used to be ignored: --nodse 50 wrote
+// the default 4000-node graph.
+TEST_F(PublishCliTest, GenerateRejectsUnreadFlags) {
+  const std::string graph = temp_path("sgp_generate_cli.txt");
+  const struct {
+    const char* flags;
+    const char* named;
+  } cases[] = {{"--model ba --nodse 50", "--nodse"},
+               {"--model ba --p 0.1", "--p"}};
+  for (const auto& c : cases) {
+    const CliResult result = run(std::string(SGP_GENERATE_BIN) + " " +
+                                 c.flags + " --out '" + graph + "'");
+    EXPECT_EQ(result.exit_code, 2) << c.flags << ": " << result.stderr_text;
+    EXPECT_NE(result.stderr_text.find(c.named), std::string::npos)
+        << c.flags << ": " << result.stderr_text;
+    EXPECT_FALSE(std::filesystem::exists(graph)) << c.flags;
+  }
+  const CliResult ok = run(std::string(SGP_GENERATE_BIN) +
+                           " --model ba --nodes 50 --attach 2 --out '" +
+                           graph + "'");
+  EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
+  std::filesystem::remove(graph);
+}
+
+TEST_F(PublishCliTest, TraceRejectsUnreadFlags) {
+  const std::string report = temp_path("sgp_trace_cli.json");
+  ASSERT_EQ(publish("--metrics-out '" + report + "'").exit_code, 0);
+  const std::string trace = std::string(SGP_TRACE_BIN);
+  const CliResult typo =
+      run(trace + " --report '" + report + "' --summry");
+  EXPECT_EQ(typo.exit_code, 2) << typo.stderr_text;
+  EXPECT_NE(typo.stderr_text.find("--summry"), std::string::npos)
+      << typo.stderr_text;
+  // The two modes are exclusive: --validate-chrome reads no report.
+  const CliResult both = run(trace + " --validate-chrome '" + report +
+                             "' --report '" + report + "'");
+  EXPECT_EQ(both.exit_code, 2) << both.stderr_text;
+  EXPECT_NE(both.stderr_text.find("--report"), std::string::npos)
+      << both.stderr_text;
+  const CliResult ok = run(trace + " --report '" + report + "' --summary");
+  EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
+  std::filesystem::remove(report);
 }
 
 }  // namespace

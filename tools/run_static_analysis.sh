@@ -19,10 +19,11 @@
 #                      process differential matrix and deep statistical
 #                      tests (docs/scaling.md) that the default ctest run
 #                      skips
-#   8. obs plane       a distributed publish with --metrics-out, then the
-#                      merged v2 report through sgp_bench_check and
-#                      sgp_trace (--chrome / --validate-chrome / --summary)
-#                      end to end (docs/observability.md)
+#   8. obs plane       a distributed and an in-memory publish with
+#                      --metrics-out, then both v2 reports through
+#                      sgp_bench_check and sgp_trace (--chrome /
+#                      --validate-chrome / --summary) end to end
+#                      (docs/observability.md)
 #   9. kernel diff     scalar-vs-vectorized differential: the simd-labeled
 #                      suites (per-variant byte equality across publish
 #                      paths) plus an end-to-end SGP_FORCE_KERNEL sweep of
@@ -160,7 +161,7 @@ else
 fi
 
 # --- 8. obs plane -----------------------------------------------------------
-note "observability plane (merged v2 report + sgp_trace)"
+note "observability plane (v2 reports + sgp_trace)"
 cmake --build build -j --target sgp_publish sgp_trace sgp_bench_check \
   sgp_generate >/dev/null
 obs_dir="$(mktemp -d)"
@@ -174,7 +175,8 @@ obs_ok=1
 # The worker release must equal the in-memory one, and a finished publish
 # leaves no shard log, side file or worker progress file behind.
 ./build/tools/sgp_publish --edges "${obs_dir}/g.edges" \
-  --out "${obs_dir}/inmem.bin" --dim 16 --seed 7 >/dev/null 2>&1 || obs_ok=0
+  --out "${obs_dir}/inmem.bin" --dim 16 --seed 7 \
+  --metrics-out "${obs_dir}/inmem.json" >/dev/null 2>&1 || obs_ok=0
 cmp -s "${obs_dir}/r.bin" "${obs_dir}/inmem.bin" || {
   echo "obs plane: worker release differs from the in-memory release"
   obs_ok=0
@@ -185,10 +187,14 @@ if [[ -n "${leftovers}" ]]; then
   echo "obs plane: left behind: ${leftovers}"
   obs_ok=0
 fi
-./build/tools/sgp_bench_check "${obs_dir}/merged.json" || obs_ok=0
-./build/tools/sgp_trace --report "${obs_dir}/merged.json" \
-  --chrome "${obs_dir}/chrome.json" --summary >/dev/null || obs_ok=0
-./build/tools/sgp_trace --validate-chrome "${obs_dir}/chrome.json" || obs_ok=0
+# One schema: the single-process report renders exactly like the merged one.
+for report in merged inmem; do
+  ./build/tools/sgp_bench_check "${obs_dir}/${report}.json" || obs_ok=0
+  ./build/tools/sgp_trace --report "${obs_dir}/${report}.json" \
+    --chrome "${obs_dir}/${report}.chrome.json" --summary >/dev/null || obs_ok=0
+  ./build/tools/sgp_trace --validate-chrome "${obs_dir}/${report}.chrome.json" \
+    || obs_ok=0
+done
 if [[ "${obs_ok}" == "1" ]]; then
   echo "obs plane: clean"
 else

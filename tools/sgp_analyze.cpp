@@ -17,7 +17,10 @@
 // the table. No release file is needed in this mode.
 //
 // Unknown --task / --mechanism values are usage errors (exit 2) and the
-// message lists the valid values, mirroring sgp_lint --rules.
+// message lists the valid values, mirroring sgp_lint --rules. So is any
+// flag the chosen mode and task do not read: --clusters and --seed belong
+// to --task cluster, --top to --task rank, --mechanism to
+// --compare-mechanisms.
 //
 // Output: one line per node on stdout (cluster id, or rank order), metadata
 // on stderr. The original graph is never needed.
@@ -161,9 +164,9 @@ int compare_mechanisms(const std::string& path,
 
 int main(int argc, char** argv) {
   const sgp::util::CliArgs args(argc, argv);
-  const std::string release_path = args.get_string("release", "");
   const std::string compare_path = args.get_string("compare-mechanisms", "");
-  const std::string mechanism = args.get_string("mechanism", "");
+  const std::string release_path =
+      compare_path.empty() ? args.get_string("release", "") : std::string();
   if (release_path.empty() && compare_path.empty()) {
     std::fprintf(stderr,
                  "usage: %s --release release.bin --task info|stats|cluster|"
@@ -177,21 +180,31 @@ int main(int argc, char** argv) {
   const sgp::tools::ObsScope obs_scope(args, "sgp_analyze");
 
   return sgp::tools::run_tool([&]() -> int {
-    // The mechanism family is the registry's to validate: analysts get the
-    // same names the grid and bench use.
-    if (!mechanism.empty()) {
-      require_one_of("mechanism", mechanism,
-                     sgp::core::known_mechanism_names());
-    }
+    // Each mode reads only its own flags; anything else given exits 2.
     if (!compare_path.empty()) {
+      const std::string mechanism = args.get_string("mechanism", "");
+      const std::string task_filter = args.get_string("task", "");
+      args.reject_unread();
+      // The mechanism family is the registry's to validate: analysts get
+      // the same names the grid and bench use.
+      if (!mechanism.empty()) {
+        require_one_of("mechanism", mechanism,
+                       sgp::core::known_mechanism_names());
+      }
       sgp::obs::ScopedTimer task_timer(
           std::string(sgp::obs::names::kToolCompareMechanisms));
-      return compare_mechanisms(compare_path, mechanism,
-                                args.get_string("task", ""));
+      return compare_mechanisms(compare_path, mechanism, task_filter);
     }
 
     const std::string task = args.get_string("task", "info");
     require_one_of("task", task, kReleaseTasks);
+    const std::uint64_t seed =
+        task == "cluster" ? args.get_uint64("seed", 7) : 0;
+    const auto clusters = static_cast<std::size_t>(
+        task == "cluster" ? args.get_int("clusters", 0) : 0);
+    const auto top =
+        static_cast<std::size_t>(task == "rank" ? args.get_int("top", 100) : 0);
+    args.reject_unread();
     sgp::obs::ScopedTimer task_timer("tool." + task);
     const auto release = sgp::core::load_published_file(release_path);
     std::fprintf(stderr, "release: n=%zu m=%zu %s sigma=%.3f projection=%s\n",
@@ -217,8 +230,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (task == "cluster") {
-      const auto seed = args.get_uint64("seed", 7);
-      std::size_t k = static_cast<std::size_t>(args.get_int("clusters", 0));
+      std::size_t k = clusters;
       if (k == 0) {
         // Pick k from the eigengap of the release's singular values.
         const auto probe = std::min<std::size_t>(release.projection_dim, 24);
@@ -235,7 +247,6 @@ int main(int argc, char** argv) {
       return 0;
     }
     // rank — the only task left after require_one_of.
-    const auto top = static_cast<std::size_t>(args.get_int("top", 100));
     const auto scores = sgp::core::degree_scores(release);
     const auto order = sgp::ranking::ranking_from_scores(scores);
     const std::size_t count = std::min(top, order.size());

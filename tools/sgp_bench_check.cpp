@@ -1,7 +1,7 @@
 // sgp_bench_check — validates BENCH_*.json / --metrics-out files against the
-// observability report schemas: "sgp-obs-report v1" (obs/report.hpp) and the
-// merged cross-process "sgp-obs-report v2" (obs/aggregate.hpp), dispatched
-// on each document's "schema" string.
+// observability report schema, "sgp-obs-report v2" (obs/report.hpp), which
+// single-process and merged distributed reports share, then checks the
+// per-experiment meta contracts below.
 //
 //   sgp_bench_check BENCH_E2.json [BENCH_E7.json ...]
 //
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/aggregate.hpp"
-#include "obs/report.hpp"
 #include "tool_common.hpp"
 #include "util/errors.hpp"
 #include "util/json.hpp"
@@ -101,17 +100,15 @@ void check_e13_meta(const std::string& path, const sgp::util::JsonValue& doc) {
     throw sgp::util::ParseError(path + ": E13 meta.processes must be >= 1");
   }
   // The distributed bench must say which observability schema its
-  // per-process metrics were merged under, so consumers know whether
-  // gauges carry the per-process "processes" map.
+  // per-process metrics are merged under; there is one.
   const sgp::util::JsonValue* obs_schema = meta->find("obs_schema");
   if (obs_schema == nullptr) {
     throw sgp::util::ParseError(path + ": E13 meta missing 'obs_schema'");
   }
   if (!obs_schema->is_string() ||
-      (obs_schema->as_string() != "sgp-obs-report v1" &&
-       obs_schema->as_string() != "sgp-obs-report v2")) {
-    throw sgp::util::ParseError(
-        path + ": E13 meta.obs_schema must name a known report schema");
+      obs_schema->as_string() != sgp::obs::kReportV2Schema) {
+    throw sgp::util::ParseError(path + ": E13 meta.obs_schema must be '" +
+                                std::string(sgp::obs::kReportV2Schema) + "'");
   }
   check_kernel_variant(path, "E13", *meta);
 }
@@ -222,20 +219,10 @@ void check_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   const sgp::util::JsonValue doc = sgp::util::parse_json(buf.str());
-  // Dispatch on the self-declared schema: v2 documents are the merged
-  // cross-process reports; everything else takes the v1 validator (which
-  // rejects unknown schema strings with a useful message).
-  const sgp::util::JsonValue* schema = doc.find("schema");
-  const bool v2 = schema != nullptr && schema->is_string() &&
-                  schema->as_string() == sgp::obs::kReportV2Schema;
-  if (v2) {
-    if (const auto err = sgp::obs::validate_report_v2_json(doc)) {
-      throw sgp::util::ParseError(path + ": " + *err);
-    }
-  } else if (const auto err = sgp::obs::validate_report_json(doc)) {
+  if (const auto err = sgp::obs::validate_report_v2_json(doc)) {
     throw sgp::util::ParseError(path + ": " + *err);
   }
-  // Both validators guarantee a string "id" and object "meta".
+  // The validator guarantees a string "id" and object "meta".
   if (doc.find("id")->as_string() == "E7") {
     check_e7_meta(path, doc);
   }

@@ -13,9 +13,12 @@
 //
 // Shares the observability flags of all sgp_* tools:
 // [--metrics-out metrics.json [--metrics-format prometheus]] [--trace]
+// A flag the chosen model does not read is a usage error (exit 2).
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -61,38 +64,53 @@ int main(int argc, char** argv) {
   const sgp::tools::ObsScope obs_scope(args, "sgp_generate");
 
   return sgp::tools::run_tool([&]() -> int {
-    sgp::obs::ScopedTimer generate_timer(sgp::obs::names::kToolGenerate);
-    generate_timer.attr("model", model);
     sgp::random::Rng rng(args.get_uint64("seed", 7));
-    sgp::graph::Graph graph;
-
+    // Each model reads only its own flags, so a flag of another model (or
+    // a typo) is left unread and refused before anything is generated.
+    std::function<sgp::graph::PlantedGraph()> generate;
     if (model == "sbm") {
       const auto communities =
           static_cast<std::size_t>(args.get_int("communities", 8));
       const auto size = static_cast<std::size_t>(args.get_int("size", 500));
-      const auto planted = sgp::graph::stochastic_block_model(
-          std::vector<std::size_t>(communities, size),
-          args.get_double("p-in", 0.2), args.get_double("p-out", 0.004), rng);
-      graph = planted.graph;
-      write_labels(planted.labels, out_path + ".labels");
+      const double p_in = args.get_double("p-in", 0.2);
+      const double p_out = args.get_double("p-out", 0.004);
+      generate = [=, &rng] {
+        return sgp::graph::stochastic_block_model(
+            std::vector<std::size_t>(communities, size), p_in, p_out, rng);
+      };
     } else if (model == "ba") {
-      graph = sgp::graph::barabasi_albert(
-          static_cast<std::size_t>(args.get_int("nodes", 4000)),
-          static_cast<std::size_t>(args.get_int("attach", 5)), rng);
+      const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 4000));
+      const auto attach = static_cast<std::size_t>(args.get_int("attach", 5));
+      generate = [=, &rng] {
+        return sgp::graph::PlantedGraph{
+            sgp::graph::barabasi_albert(nodes, attach, rng), {}};
+      };
     } else if (model == "er") {
-      graph = sgp::graph::erdos_renyi(
-          static_cast<std::size_t>(args.get_int("nodes", 1000)),
-          args.get_double("p", 0.01), rng);
+      const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 1000));
+      const double p = args.get_double("p", 0.01);
+      generate = [=, &rng] {
+        return sgp::graph::PlantedGraph{
+            sgp::graph::erdos_renyi(nodes, p, rng), {}};
+      };
     } else if (model == "ws") {
-      graph = sgp::graph::watts_strogatz(
-          static_cast<std::size_t>(args.get_int("nodes", 1000)),
-          static_cast<std::size_t>(args.get_int("k", 10)),
-          args.get_double("beta", 0.1), rng);
+      const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 1000));
+      const auto k = static_cast<std::size_t>(args.get_int("k", 10));
+      const double beta = args.get_double("beta", 0.1);
+      generate = [=, &rng] {
+        return sgp::graph::PlantedGraph{
+            sgp::graph::watts_strogatz(nodes, k, beta, rng), {}};
+      };
     } else {
       std::fprintf(stderr, "error: unknown model '%s'\n", model.c_str());
       return sgp::tools::kExitUsage;
     }
+    args.reject_unread();
 
+    sgp::obs::ScopedTimer generate_timer(sgp::obs::names::kToolGenerate);
+    generate_timer.attr("model", model);
+    const sgp::graph::PlantedGraph planted = generate();
+    const sgp::graph::Graph& graph = planted.graph;
+    if (model == "sbm") write_labels(planted.labels, out_path + ".labels");
     sgp::graph::write_edge_list_file(graph, out_path);
     const auto stats = sgp::graph::degree_stats(graph);
     std::fprintf(stderr,

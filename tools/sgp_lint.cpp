@@ -15,7 +15,9 @@
 //
 // With no --baseline flag, <root>/.lint-baseline.json is applied when it
 // exists. --write-baseline rewrites that file so the current findings
-// become the grandfathered set (and exits 0).
+// become the grandfathered set (and exits 0); it takes no --format, --out
+// or --no-baseline, and --cache-path needs --cache. A flag the tool does
+// not read is a usage error.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -64,7 +66,11 @@ int main(int argc, char** argv) {
                                            " (valid: " + valid + ")");
       }
     }
-    const std::string format = args.get_string("format", "text");
+    // --write-baseline writes no report, so the report flags are left
+    // unread there and refused like a typo.
+    const bool write_baseline = args.get_bool("write-baseline", false);
+    const std::string format =
+        write_baseline ? "text" : args.get_string("format", "text");
     if (format != "text" && format != "json" && format != "sarif") {
       throw sgp::util::PreconditionError(
           "--format must be 'text', 'json', or 'sarif', got '" + format +
@@ -73,10 +79,18 @@ int main(int argc, char** argv) {
     options.threads =
         static_cast<std::size_t>(args.get_int("threads", 0));
     options.use_cache = args.get_bool("cache", false);
-    options.cache_path = args.get_string(
-        "cache-path",
-        (std::filesystem::path(options.root) / ".lint-cache.json")
-            .string());
+    if (options.use_cache) {
+      options.cache_path = args.get_string(
+          "cache-path",
+          (std::filesystem::path(options.root) / ".lint-cache.json")
+              .string());
+    }
+    std::string baseline_path = args.get_string("baseline", "");
+    const bool no_baseline =
+        !write_baseline && args.get_bool("no-baseline", false);
+    const std::string out_path =
+        write_baseline ? std::string() : args.get_string("out", "");
+    args.reject_unread();
 
     sgp::analysis::LintResult result = sgp::analysis::run_lint(options);
     // Cache accounting goes to stderr only, so reports stay byte-identical
@@ -90,11 +104,10 @@ int main(int argc, char** argv) {
     const std::string default_baseline =
         (std::filesystem::path(options.root) / ".lint-baseline.json")
             .string();
-    std::string baseline_path = args.get_string("baseline", "");
     const bool explicit_baseline = !baseline_path.empty();
     if (baseline_path.empty()) baseline_path = default_baseline;
 
-    if (args.get_bool("write-baseline", false)) {
+    if (write_baseline) {
       sgp::analysis::Baseline::from_findings(result.findings)
           .save(baseline_path);
       std::fprintf(stderr, "baseline with %zu finding(s) written to %s\n",
@@ -102,13 +115,12 @@ int main(int argc, char** argv) {
       return sgp::tools::kExitOk;
     }
 
-    if (!args.get_bool("no-baseline", false) &&
+    if (!no_baseline &&
         (explicit_baseline || std::filesystem::exists(baseline_path))) {
       const auto baseline = sgp::analysis::Baseline::load(baseline_path);
       result.suppressed = baseline.apply(result.findings);
     }
 
-    const std::string out_path = args.get_string("out", "");
     auto render = [&](std::ostream& os) {
       if (format == "json") {
         sgp::analysis::write_lint_report_json(result, options, os);

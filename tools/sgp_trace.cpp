@@ -1,11 +1,12 @@
-// sgp_trace — timeline inspection for merged observability reports.
+// sgp_trace — timeline inspection for observability reports.
 //
-//   sgp_trace --report merged-report.json [--chrome trace.json] [--summary]
+//   sgp_trace --report report.json [--chrome trace.json] [--summary]
 //   sgp_trace --validate-chrome trace.json
 //
-// Reads an "sgp-obs-report v2" document — the merged cross-process report a
-// distributed `sgp_publish --workers N --metrics-out` writes — validates it
-// against the schema (obs/aggregate.hpp), and renders:
+// Reads an "sgp-obs-report v2" document (obs/report.hpp) — any report the
+// repo writes: a tool's --metrics-out file, a BENCH_<id>.json, or the merged
+// cross-process report of `sgp_publish --workers N --metrics-out` —
+// validates it against the schema, and renders:
 //
 //   --chrome <path>   Chrome trace-event / Perfetto-compatible JSON: spans
 //                     as complete ("X") events laned by pid/thread,
@@ -20,7 +21,8 @@
 // With neither flag the report is validated and acknowledged — the
 // schema-check mode CI uses. --validate-chrome structurally checks a Chrome
 // trace file (the counterpart of sgp_bench_check for timeline exports) and
-// shares its exit-code contract: 0 ok, 3 on the first invalid file.
+// shares its exit-code contract: 0 ok, 3 on the first invalid file. The two
+// modes are exclusive, and a flag the chosen mode does not read exits 2.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -48,11 +50,12 @@ sgp::util::JsonValue parse_file(const std::string& path) {
 
 int main(int argc, char** argv) {
   const sgp::util::CliArgs args(argc, argv);
-  const std::string report_path = args.get_string("report", "");
   const std::string validate_chrome = args.get_string("validate-chrome", "");
+  const std::string report_path =
+      validate_chrome.empty() ? args.get_string("report", "") : std::string();
   if (report_path.empty() && validate_chrome.empty()) {
     std::fprintf(stderr,
-                 "usage: %s --report merged-report.json "
+                 "usage: %s --report report.json "
                  "[--chrome trace.json] [--summary]\n"
                  "       %s --validate-chrome trace.json\n",
                  args.program().c_str(), args.program().c_str());
@@ -60,6 +63,7 @@ int main(int argc, char** argv) {
   }
   return sgp::tools::run_tool([&]() -> int {
     if (!validate_chrome.empty()) {
+      args.reject_unread();
       const sgp::util::JsonValue doc = parse_file(validate_chrome);
       if (const auto err = sgp::obs::validate_chrome_trace_json(doc)) {
         throw sgp::util::ParseError(validate_chrome + ": " + *err);
@@ -68,12 +72,14 @@ int main(int argc, char** argv) {
       return sgp::tools::kExitOk;
     }
 
+    const std::string chrome_path = args.get_string("chrome", "");
+    const bool summary = args.get_bool("summary", false);
+    args.reject_unread();
+
     const sgp::util::JsonValue report = parse_file(report_path);
     if (const auto err = sgp::obs::validate_report_v2_json(report)) {
       throw sgp::util::ParseError(report_path + ": " + *err);
     }
-
-    const std::string chrome_path = args.get_string("chrome", "");
     if (!chrome_path.empty()) {
       std::ofstream out(chrome_path, std::ios::binary | std::ios::trunc);
       if (!out.good()) {
@@ -87,10 +93,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "chrome trace written to %s\n",
                    chrome_path.c_str());
     }
-    if (args.get_bool("summary", false)) {
+    if (summary) {
       sgp::obs::write_trace_summary(std::cout, report);
     }
-    if (chrome_path.empty() && !args.get_bool("summary", false)) {
+    if (chrome_path.empty() && !summary) {
       std::fprintf(stderr, "%s: ok\n", report_path.c_str());
     }
     return sgp::tools::kExitOk;

@@ -14,11 +14,13 @@
 // The codes are part of the CLI contract; see docs/robustness.md.
 // Observability flags shared by every tool (see docs/observability.md):
 //
-//   --metrics-out <path>   enable metrics and write an obs::Report JSON
-//                          (counters, histograms, phases, spans) on exit —
-//                          also on error exits, so failed runs are
-//                          diagnosable
+//   --metrics-out <path>   enable metrics and tracing and write the
+//                          "sgp-obs-report v2" JSON report (obs/report.hpp:
+//                          counters, gauges, histograms, phases, spans,
+//                          events) on exit — also on error exits, so failed
+//                          runs are diagnosable
 //   --metrics-format prometheus   write the Prometheus text format instead
+//                          (read only with --metrics-out)
 //   --trace                enable trace spans; a human-readable span tree
 //                          is printed to stderr on exit
 #pragma once
@@ -31,7 +33,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/aggregate.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -56,14 +58,15 @@ class ObsScope {
   ObsScope(const util::CliArgs& args, std::string tool_name)
       : tool_name_(std::move(tool_name)),
         metrics_path_(args.get_string("metrics-out", "")),
-        prometheus_(args.get_string("metrics-format", "json") == "prometheus"),
+        // Left unread without --metrics-out, so reject_unread() refuses it.
+        prometheus_(!metrics_path_.empty() &&
+                    args.get_string("metrics-format", "json") ==
+                        "prometheus"),
         trace_(args.get_bool("trace", false)) {
-    if (!metrics_path_.empty()) obs::set_metrics_enabled(true);
-    if (trace_) {
+    if (metrics_on()) {
       obs::set_metrics_enabled(true);
+      // The report carries the span tree, so --metrics-out traces too.
       obs::set_trace_enabled(true);
-    }
-    if (!metrics_path_.empty() || trace_) {
       // Pre-register the pipeline's headline metrics (Prometheus-style
       // up-front declaration) so every report carries them, zero-valued
       // when the corresponding stage did not run. Names come from the
@@ -104,11 +107,10 @@ class ObsScope {
     return !metrics_path_.empty() || trace_;
   }
 
-  /// Switches the destructor from the single-process v1 report to the
-  /// merged cross-process "sgp-obs-report v2": live coordinator state plus
-  /// every worker sidecar under `sidecar_prefix` (obs/aggregate.hpp).
-  /// JSON format only; --metrics-format prometheus keeps the local
-  /// registry view.
+  /// Switches the destructor from the single-process report to the merged
+  /// one: live coordinator state plus every worker sidecar under
+  /// `sidecar_prefix` (obs/report.hpp). JSON format only;
+  /// --metrics-format prometheus keeps the local registry view.
   void set_distributed_merge(std::string sidecar_prefix,
                              std::string trace_id) {
     merge_prefix_ = std::move(sidecar_prefix);
@@ -117,14 +119,14 @@ class ObsScope {
 
   ~ObsScope() {
     sampler_.stop();
+    // The final flush of a sidecar a distributed publish opened: the merge
+    // below reads live state and deletes the consumed files.
+    obs::close_sidecar();
     if (trace_) {
       std::fprintf(stderr, "--- trace (%s) ---\n", tool_name_.c_str());
       obs::write_trace_text(std::cerr);
     }
-    if (metrics_path_.empty()) {
-      obs::close_sidecar();
-      return;
-    }
+    if (metrics_path_.empty()) return;
     try {
       if (prometheus_) {
         std::ofstream out(metrics_path_, std::ios::binary | std::ios::trunc);
@@ -136,15 +138,10 @@ class ObsScope {
         if (!out.good()) {
           throw util::IoError("failed writing " + metrics_path_);
         }
-        obs::close_sidecar();
       } else if (!merge_prefix_.empty()) {
-        // The sidecar must be closed (final flush) before the merge reads
-        // live state and deletes the consumed files.
-        obs::close_sidecar();
         obs::write_merged_report_file(metrics_path_, tool_name_,
                                       merge_prefix_, merge_trace_id_);
       } else {
-        obs::close_sidecar();
         obs::Report(tool_name_).write_file(metrics_path_);
       }
       std::fprintf(stderr, "metrics written to %s\n", metrics_path_.c_str());
