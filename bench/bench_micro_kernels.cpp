@@ -24,7 +24,6 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "linalg/eigen_sym.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
 #include "random/counter_rng_simd.hpp"
 #include "random/distributions.hpp"
@@ -60,20 +59,20 @@ void BM_SpMM(benchmark::State& state) {
 BENCHMARK(BM_SpMM)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_GaussianProjection(benchmark::State& state) {
-  sgp::random::Rng rng(2);
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto p = sgp::core::gaussian_projection(n, 100, rng);
+    auto p = sgp::core::make_projection_counter(
+        n, 100, sgp::core::ProjectionKind::kGaussian, 2);
     benchmark::DoNotOptimize(p.data().data());
   }
 }
 BENCHMARK(BM_GaussianProjection)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_AchlioptasProjection(benchmark::State& state) {
-  sgp::random::Rng rng(2);
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto p = sgp::core::achlioptas_projection(n, 100, rng);
+    auto p = sgp::core::make_projection_counter(
+        n, 100, sgp::core::ProjectionKind::kAchlioptas, 2);
     benchmark::DoNotOptimize(p.data().data());
   }
 }
@@ -261,15 +260,6 @@ void BM_SvdGram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SvdGram)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_HouseholderQr(benchmark::State& state) {
-  const auto a = random_dense(2000, static_cast<std::size_t>(state.range(0)), 5);
-  for (auto _ : state) {
-    auto qr = sgp::linalg::qr_decompose(a);
-    benchmark::DoNotOptimize(qr.q.data().data());
-  }
-}
-BENCHMARK(BM_HouseholderQr)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // 128 is the analyst's Gram (perfbench `analyst`, m = 128); 240 the size of
 // the scenario grid's noisy adjacency in the community mechanisms.

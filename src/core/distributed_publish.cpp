@@ -236,6 +236,8 @@ DistributedPublishResult publish_distributed(
                 "shard publish: projection_dim must be in [1, n]");
   util::require(options.lease_timeout_seconds > 0.0,
                 "shard publish: lease timeout must be positive");
+  util::require(sharded.io_retry.max_attempts >= 1,
+                "shard publish: io retry attempts must be >= 1");
   sharded.publish.params.validate();
   const std::size_t workers =
       options.worker_program.empty() ? 0 : options.workers;
@@ -636,22 +638,21 @@ int run_publish_worker(const util::CliArgs& args) {
 
   ShardedPublishOptions opt;
   opt.publish.projection_dim =
-      static_cast<std::size_t>(args.get_int("dim", 100));
+      static_cast<std::size_t>(args.get_uint64("dim", 100));
   opt.publish.params = {args.get_double("epsilon", 1.0),
                         args.get_double("delta", 1e-6)};
   opt.publish.seed = args.get_uint64("seed", 7);
-  if (args.get_string("projection", "gaussian") == "achlioptas") {
-    opt.publish.projection = ProjectionKind::kAchlioptas;
-  }
+  opt.publish.projection =
+      parse_projection_kind(args.get_string("projection", "gaussian"));
   opt.publish.kernel =
       random::parse_kernel_variant(args.get_string("kernel", "auto"));
   opt.publish.analytic_calibration = !args.get_bool("no-analytic", false);
   opt.publish.delta_split =
       args.get_double("delta-split", dp::kDefaultDeltaSplit);
-  opt.shard_rows = static_cast<std::size_t>(args.get_int("shard-rows", 0));
-  opt.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  opt.shard_rows = static_cast<std::size_t>(args.get_uint64("shard-rows", 0));
+  opt.threads = static_cast<std::size_t>(args.get_uint64("threads", 0));
   opt.io_retry.max_attempts =
-      static_cast<std::size_t>(args.get_int("io-attempts", 1));
+      static_cast<std::size_t>(args.get_uint64("io-attempts", 1));
 
   const auto policy = args.get_bool("preserve-ids", false)
                           ? graph::IdPolicy::kPreserve
@@ -678,8 +679,8 @@ int run_publish_worker(const util::CliArgs& args) {
   }
 
   const std::size_t worker_id =
-      static_cast<std::size_t>(args.get_int("worker-id", 0));
-  const std::size_t gen = static_cast<std::size_t>(args.get_int("gen", 0));
+      static_cast<std::size_t>(args.get_uint64("worker-id", 0));
+  const std::size_t gen = static_cast<std::size_t>(args.get_uint64("gen", 0));
 
   // Trace context handed down by the coordinator. When present, this worker
   // joins the release-wide observability plane: metrics + tracing on, its

@@ -4,7 +4,6 @@
 #include <new>
 
 #include "random/counter_rng_simd.hpp"
-#include "random/distributions.hpp"
 #include "util/check.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
@@ -22,59 +21,11 @@ std::string to_string(ProjectionKind kind) {
   return "unknown";
 }
 
-linalg::DenseMatrix make_projection(std::size_t n, std::size_t m,
-                                    ProjectionKind kind, random::Rng& rng) {
-  // n×m doubles — the single largest allocation of a materialized publish;
-  // the fault point lets chaos tests exercise the out-of-memory path on
-  // demand. Both it and a genuine allocation failure surface as the typed
-  // ResourceError so the CLI exit-code contract holds.
-  try {
-    util::fault_point(util::fault_points::kAlloc);
-    switch (kind) {
-      case ProjectionKind::kGaussian:
-        return gaussian_projection(n, m, rng);
-      case ProjectionKind::kAchlioptas:
-        return achlioptas_projection(n, m, rng);
-    }
-  } catch (const std::bad_alloc&) {
-    throw util::ResourceError("make_projection: out of memory allocating " +
-                              std::to_string(n) + "x" + std::to_string(m) +
-                              " projection");
-  }
-  throw util::InternalError("make_projection: unknown kind");
-}
-
-linalg::DenseMatrix gaussian_projection(std::size_t n, std::size_t m,
-                                        random::Rng& rng) {
-  util::require(n >= 1 && m >= 1, "projection: dimensions must be >= 1");
-  const double stddev = 1.0 / std::sqrt(static_cast<double>(m));
-  linalg::DenseMatrix p(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto row = p.row(i);
-    for (std::size_t j = 0; j < m; ++j) {
-      row[j] = random::normal(rng, 0.0, stddev);
-    }
-  }
-  return p;
-}
-
-linalg::DenseMatrix achlioptas_projection(std::size_t n, std::size_t m,
-                                          random::Rng& rng) {
-  util::require(n >= 1 && m >= 1, "projection: dimensions must be >= 1");
-  const double magnitude = std::sqrt(3.0 / static_cast<double>(m));
-  linalg::DenseMatrix p(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto row = p.row(i);
-    for (std::size_t j = 0; j < m; ++j) {
-      const double u = rng.next_double();
-      if (u < 1.0 / 6.0) {
-        row[j] = magnitude;
-      } else if (u < 2.0 / 6.0) {
-        row[j] = -magnitude;
-      }  // else 0
-    }
-  }
-  return p;
+ProjectionKind parse_projection_kind(const std::string& name) {
+  if (name == "gaussian") return ProjectionKind::kGaussian;
+  if (name == "achlioptas") return ProjectionKind::kAchlioptas;
+  throw util::PreconditionError("unknown projection '" + name +
+                                "' (expected gaussian|achlioptas)");
 }
 
 random::CounterRng projection_counter_rng(std::uint64_t seed) {

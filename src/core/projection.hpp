@@ -10,7 +10,6 @@
 #include "linalg/dense_matrix.hpp"
 #include "random/counter_rng.hpp"
 #include "random/kernel_variant.hpp"
-#include "random/rng.hpp"
 
 namespace sgp::core {
 
@@ -20,22 +19,12 @@ enum class ProjectionKind {
 };
 
 [[nodiscard]] std::string to_string(ProjectionKind kind);
-
-/// Samples an n×m projection matrix of the given kind. Requires m >= 1.
-linalg::DenseMatrix make_projection(std::size_t n, std::size_t m,
-                                    ProjectionKind kind, random::Rng& rng);
-
-/// Gaussian projection: entries N(0, 1/m).
-linalg::DenseMatrix gaussian_projection(std::size_t n, std::size_t m,
-                                        random::Rng& rng);
-
-/// Achlioptas sparse projection: sqrt(3/m)·{+1 w.p. 1/6, 0 w.p. 2/3,
-/// −1 w.p. 1/6}. Same JL guarantees, 3× fewer multiplications.
-linalg::DenseMatrix achlioptas_projection(std::size_t n, std::size_t m,
-                                          random::Rng& rng);
+/// Inverse of to_string ("gaussian" / "achlioptas"); throws
+/// util::PreconditionError naming both for anything else.
+[[nodiscard]] ProjectionKind parse_projection_kind(const std::string& name);
 
 // ---------------------------------------------------------------------------
-// Counter-based projection ("counter-v1" releases).
+// Counter-based projection, the generator of every release.
 //
 // P[i][j] is a pure function of (seed, i, j): entry (i, j) of an n×m
 // projection draws from counter i·m + j of a CounterRng keyed on the release

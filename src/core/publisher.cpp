@@ -12,7 +12,6 @@
 #include "obs/scoped_timer.hpp"
 #include "random/counter_rng.hpp"
 #include "random/counter_rng_simd.hpp"
-#include "random/rng.hpp"
 #include "ranking/centrality.hpp"
 #include "util/check.hpp"
 #include "util/errors.hpp"
@@ -24,8 +23,6 @@ namespace sgp::core {
 
 std::string to_string(ProjectionRngKind kind) {
   switch (kind) {
-    case ProjectionRngKind::kSequentialLegacy:
-      return "sequential-v0";
     case ProjectionRngKind::kCounterV1:
       return "counter-v1";
     case ProjectionRngKind::kCounterV1Simd:
@@ -35,7 +32,6 @@ std::string to_string(ProjectionRngKind kind) {
 }
 
 ProjectionRngKind parse_projection_rng(const std::string& s) {
-  if (s == "sequential-v0") return ProjectionRngKind::kSequentialLegacy;
   if (s == "counter-v1") return ProjectionRngKind::kCounterV1;
   if (s == "counter-v1-simd") return ProjectionRngKind::kCounterV1Simd;
   throw util::ParseError("unknown projection_rng: " + s);

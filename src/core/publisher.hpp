@@ -36,10 +36,6 @@ namespace sgp::core {
 /// Which generator family produced P (and the noise) for a release. Recorded
 /// in the release metadata so reconstruction can regenerate P exactly.
 enum class ProjectionRngKind {
-  /// Pre-counter releases: P drawn row-major from the sequential
-  /// xoshiro-based Rng seeded with the release seed, noise from rng.split(1).
-  /// Kept so old on-disk releases keep round-tripping.
-  kSequentialLegacy,
   /// Counter-based releases (the fused kernel): P[i][j] and N[i][j] are pure
   /// functions of (seed, i·m + j) — see core/projection.hpp. Gaussian draws
   /// use the scalar libm Box–Muller mapping.
@@ -55,8 +51,8 @@ enum class ProjectionRngKind {
 };
 
 [[nodiscard]] std::string to_string(ProjectionRngKind kind);
-/// Inverse of to_string ("sequential-v0" / "counter-v1" /
-/// "counter-v1-simd"); throws util::ParseError for anything else.
+/// Inverse of to_string ("counter-v1" / "counter-v1-simd"); throws
+/// util::ParseError for anything else.
 [[nodiscard]] ProjectionRngKind parse_projection_rng(const std::string& s);
 
 /// The tag a new release publishes under, given its projection family and
@@ -76,8 +72,7 @@ struct PublishedGraph {
   dp::PrivacyParams params;      ///< budget consumed by this release
   NoiseCalibration calibration;  ///< σ and sensitivity actually used
   ProjectionKind projection = ProjectionKind::kGaussian;
-  /// Generator family of this release; new releases are always kCounterV1,
-  /// kSequentialLegacy only appears on releases loaded from old files.
+  /// Generator family of this release (see projection_rng_for).
   ProjectionRngKind projection_rng = ProjectionRngKind::kCounterV1;
 
   /// Size of the release in bytes (doubles of Ỹ) — the storage-efficiency

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "linalg/vector_ops.hpp"
-#include "random/rng.hpp"
 #include "util/check.hpp"
 #include "util/errors.hpp"
 
@@ -12,10 +11,9 @@ namespace sgp::core {
 
 linalg::DenseMatrix regenerate_projection(const PublishedGraph& published,
                                           std::uint64_t publisher_seed) {
-  // Must mirror the publisher that produced the release, which the release
-  // records in projection_rng: counter-v1 releases define P[i][j] as a pure
-  // function of (seed, i·m+j); legacy (v1-file) releases drew P row-major
-  // from the sequential Rng seeded with the publisher seed.
+  // Must mirror the publisher that produced the release: P[i][j] is a pure
+  // function of (seed, i·m+j), and projection_rng records which normal
+  // mapping drew it.
   switch (published.projection_rng) {
     case ProjectionRngKind::kCounterV1:
       // Scalar libm mapping, regardless of environment overrides: the tag
@@ -30,11 +28,6 @@ linalg::DenseMatrix regenerate_projection(const PublishedGraph& published,
       return make_projection_counter(
           published.num_nodes, published.projection_dim, published.projection,
           publisher_seed, random::best_polynomial_kernel());
-    case ProjectionRngKind::kSequentialLegacy: {
-      random::Rng rng(publisher_seed);
-      return make_projection(published.num_nodes, published.projection_dim,
-                             published.projection, rng);
-    }
   }
   throw util::InternalError("regenerate_projection: unknown projection_rng");
 }

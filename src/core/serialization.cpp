@@ -20,12 +20,7 @@
 namespace sgp::core {
 namespace {
 
-// v2 adds the `projection_rng` header line (counter-v1 vs sequential-v0).
-// v1 files predate counter-based generation: they carry no tag and are
-// loaded as sequential-v0 so reconstruction regenerates their P with the
-// old sequential Rng.
 constexpr char kMagic[] = "sgp-published-graph v2";
-constexpr char kMagicV1[] = "sgp-published-graph v1";
 
 // Upper bound on the row block publish_to_stream computes at a time.
 constexpr std::size_t kStreamBlockBytes = std::size_t{4} << 20;
@@ -84,13 +79,7 @@ PublishedGraph load_published(std::istream& in) {
   util::fault_point(util::fault_points::kIoRead);
   obs::ScopedTimer timer(obs::names::kIoLoadRelease);
   std::string line;
-  if (!std::getline(in, line)) {
-    throw util::ParseError("load_published: bad magic line");
-  }
-  bool legacy_v1 = false;
-  if (line == kMagicV1) {
-    legacy_v1 = true;
-  } else if (line != kMagic) {
+  if (!std::getline(in, line) || line != kMagic) {
     throw util::ParseError("load_published: bad magic line");
   }
 
@@ -128,23 +117,16 @@ PublishedGraph load_published(std::istream& in) {
     if (!(fields >> token >> kind) || token != "projection") {
       throw util::ParseError("load_published: bad projection line");
     }
-    if (kind == "gaussian") {
-      pub.projection = ProjectionKind::kGaussian;
-    } else if (kind == "achlioptas") {
-      pub.projection = ProjectionKind::kAchlioptas;
-    } else {
-      throw util::ParseError("load_published: unknown projection kind '" +
-                             kind + "'");
+    try {
+      pub.projection = parse_projection_kind(kind);
+    } catch (const util::PreconditionError& e) {
+      throw util::ParseError(std::string("load_published: ") + e.what());
     }
   }
-  if (legacy_v1) {
-    // v1 files predate the projection_rng tag: their P/noise came from the
-    // sequential Rng, so reconstruction must use the legacy regeneration.
-    pub.projection_rng = ProjectionRngKind::kSequentialLegacy;
-  } else {
-    if (!std::getline(in, line)) {
-      throw util::ParseError("load_published: truncated header");
-    }
+  if (!std::getline(in, line)) {
+    throw util::ParseError("load_published: truncated header");
+  }
+  {
     std::istringstream fields(line);
     std::string tag;
     if (!(fields >> token >> tag) || token != "projection_rng") {

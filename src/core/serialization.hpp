@@ -33,10 +33,11 @@ void write_published_doubles(std::ostream& out, std::span<const double> values);
 
 /// Writes the release (header + matrix) to a stream.
 /// Format, line-oriented header then binary payload:
-///   sgp-published-graph v1
+///   sgp-published-graph v2
 ///   nodes <n> dim <m>
 ///   epsilon <e> delta <d> sigma <s> sensitivity <c>
 ///   projection <gaussian|achlioptas>
+///   projection_rng <counter-v1|counter-v1-simd>
 ///   data
 ///   <n*m little-endian IEEE-754 doubles, row-major>
 void save_published(const PublishedGraph& published, std::ostream& out);

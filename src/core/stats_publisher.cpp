@@ -33,13 +33,16 @@ std::vector<double> dp_degree_histogram(const graph::Graph& g, double epsilon,
                                         std::size_t max_degree,
                                         random::Rng& rng) {
   util::require(epsilon > 0.0, "dp_degree_histogram: epsilon must be > 0");
+  // The length stays public only while the caller fixes it, and its
+  // max_degree + 1 bins must fit a vector without wrapping.
+  std::vector<double> hist;
+  util::require(max_degree >= 1 && max_degree < hist.max_size(),
+                "dp_degree_histogram: max_degree must be >= 1 and below the "
+                "vector size limit");
+  hist.assign(max_degree + 1, 0.0);
   const auto exact = graph::degree_histogram(g);
-  std::size_t bins = max_degree + 1;
-  if (max_degree == 0) bins = std::max<std::size_t>(exact.size(), 1);
-
-  std::vector<double> hist(bins, 0.0);
   for (std::size_t d = 0; d < exact.size(); ++d) {
-    const std::size_t bin = std::min(d, bins - 1);  // truncate into last bin
+    const std::size_t bin = std::min(d, max_degree);  // truncate into last bin
     hist[bin] += static_cast<double>(exact[d]);
   }
   const double scale = dp::laplace_scale(4.0, epsilon);

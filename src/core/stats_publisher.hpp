@@ -36,10 +36,9 @@ NoisyScalar dp_average_degree(const graph::Graph& g, double epsilon,
 /// Degree histogram (index d = #nodes with degree d) with Laplace noise.
 /// One edge changes the degrees of its two endpoints, moving each between
 /// adjacent bins: ℓ1 sensitivity 4, so each bin gets Laplace(4/ε). ε-DP.
-/// `max_degree` fixes the (public) histogram length: bins beyond it are
-/// truncated into the last bin; pass 0 to size by the true max degree —
-/// NOTE that sizing by the true max leaks that maximum and is provided for
-/// non-private diagnostics only.
+/// `max_degree` (≥ 1) fixes the public histogram length max_degree + 1:
+/// degrees beyond it are truncated into the last bin. Throws
+/// std::invalid_argument for 0, which would leave the length to the graph.
 std::vector<double> dp_degree_histogram(const graph::Graph& g, double epsilon,
                                         std::size_t max_degree,
                                         random::Rng& rng);

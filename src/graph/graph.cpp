@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <utility>
 
 #include "graph/csr_rows.hpp"
@@ -138,26 +137,6 @@ ComponentResult connected_components(const Graph& g) {
     }
   }
   return result;
-}
-
-std::vector<std::size_t> bfs_distances(const Graph& g, std::size_t source) {
-  util::require(source < g.num_nodes(), "bfs: source out of range");
-  constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> dist(g.num_nodes(), kInf);
-  std::queue<std::uint32_t> frontier;
-  dist[source] = 0;
-  frontier.push(static_cast<std::uint32_t>(source));
-  while (!frontier.empty()) {
-    const std::uint32_t u = frontier.front();
-    frontier.pop();
-    for (std::uint32_t v : g.neighbors(u)) {
-      if (dist[v] == kInf) {
-        dist[v] = dist[u] + 1;
-        frontier.push(v);
-      }
-    }
-  }
-  return dist;
 }
 
 }  // namespace sgp::graph

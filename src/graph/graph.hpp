@@ -67,7 +67,4 @@ struct ComponentResult {
 };
 ComponentResult connected_components(const Graph& g);
 
-/// BFS hop distances from `source`; unreachable nodes get SIZE_MAX.
-std::vector<std::size_t> bfs_distances(const Graph& g, std::size_t source);
-
 }  // namespace sgp::graph

@@ -1,29 +1,8 @@
 #include "graph/laplacian.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "linalg/lanczos.hpp"
-#include "util/check.hpp"
-
 namespace sgp::graph {
-
-linalg::CsrMatrix laplacian_matrix(const Graph& g) {
-  const std::size_t n = g.num_nodes();
-  std::vector<linalg::Triplet> trips;
-  trips.reserve(2 * g.num_edges() + n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto d = static_cast<double>(g.degree(u));
-    if (d > 0.0) {
-      trips.push_back({static_cast<std::uint32_t>(u),
-                       static_cast<std::uint32_t>(u), d});
-    }
-    for (std::uint32_t v : g.neighbors(u)) {
-      trips.push_back({static_cast<std::uint32_t>(u), v, -1.0});
-    }
-  }
-  return linalg::CsrMatrix::from_triplets(n, n, std::move(trips));
-}
 
 linalg::CsrMatrix normalized_adjacency_matrix(const Graph& g) {
   const std::size_t n = g.num_nodes();
@@ -41,33 +20,6 @@ linalg::CsrMatrix normalized_adjacency_matrix(const Graph& g) {
     }
   }
   return linalg::CsrMatrix::from_triplets(n, n, std::move(trips));
-}
-
-double algebraic_connectivity(const Graph& g, std::uint64_t seed) {
-  const std::size_t n = g.num_nodes();
-  util::require(n >= 2, "algebraic connectivity: need at least two nodes");
-  const linalg::CsrMatrix lap = laplacian_matrix(g);
-  std::size_t max_degree = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    max_degree = std::max(max_degree, g.degree(u));
-  }
-  // Flip the spectrum: top-2 of (c·I − L) are c − {λ1(L)=0? no: λ_min ...}.
-  // L's smallest two eigenvalues become the largest two of the shifted op.
-  const double shift = 2.0 * static_cast<double>(std::max<std::size_t>(
-                                 max_degree, 1));
-  linalg::SymmetricOperator op{
-      n, [&lap, shift](std::span<const double> x, std::span<double> y) {
-        const auto lx = lap.multiply_vector(x);
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          y[i] = shift * x[i] - lx[i];
-        }
-      }};
-  linalg::LanczosOptions opt;
-  opt.k = 2;
-  opt.seed = seed;
-  opt.max_iterations = std::min(n, std::max<std::size_t>(200, 12 * 2));
-  const auto res = linalg::lanczos_topk(op, opt);
-  return std::max(0.0, shift - res.values[1]);
 }
 
 }  // namespace sgp::graph

@@ -1,30 +1,15 @@
-// Graph Laplacians and spectral-structure helpers.
-//
-// The combinatorial Laplacian L = D − A and the normalized adjacency
-// N = D^{-1/2} A D^{-1/2} (whose top eigenvectors are the standard
-// Ng–Jordan–Weiss spectral-clustering embedding; its spectrum is 1 − spec
-// of the normalized Laplacian). Algebraic connectivity diagnoses how
-// separable a graph's communities are before spending privacy budget.
+// Normalized adjacency N = D^{-1/2} A D^{-1/2}, the operator whose top
+// eigenvectors are the standard Ng–Jordan–Weiss spectral-clustering
+// embedding (its spectrum is 1 − the spectrum of the normalized Laplacian).
 #pragma once
-
-#include <cstdint>
 
 #include "graph/graph.hpp"
 #include "linalg/sparse_matrix.hpp"
 
 namespace sgp::graph {
 
-/// Combinatorial Laplacian L = D − A as CSR.
-linalg::CsrMatrix laplacian_matrix(const Graph& g);
-
 /// Normalized adjacency N = D^{-1/2} A D^{-1/2} as CSR; isolated nodes
 /// contribute zero rows. Symmetric, spectrum in [−1, 1].
 linalg::CsrMatrix normalized_adjacency_matrix(const Graph& g);
-
-/// Algebraic connectivity λ₂(L) — the Fiedler value: 0 iff the graph is
-/// disconnected; larger means better-knit. Computed by Lanczos on
-/// (c·I − L) with c = 2·max_degree (spectrum flip), taking the second
-/// eigenvalue. O(|E|·iters).
-double algebraic_connectivity(const Graph& g, std::uint64_t seed = 7);
 
 }  // namespace sgp::graph

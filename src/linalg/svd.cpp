@@ -4,9 +4,6 @@
 #include <cmath>
 
 #include "linalg/eigen_sym.hpp"
-#include "linalg/qr.hpp"
-#include "random/distributions.hpp"
-#include "random/rng.hpp"
 #include "util/check.hpp"
 
 namespace sgp::linalg {
@@ -39,45 +36,6 @@ SvdResult svd_gram(const DenseMatrix& a, std::size_t k) {
       for (std::size_t i = 0; i < n; ++i) out.u(i, j) = 0.0;
     }
   }
-  return out;
-}
-
-SvdResult randomized_svd(const DenseMatrix& a, std::size_t k,
-                         std::size_t oversample, std::size_t power_iters,
-                         std::uint64_t seed) {
-  const std::size_t n = a.rows();
-  const std::size_t m = a.cols();
-  util::require(k >= 1 && k <= std::min(n, m),
-                "randomized_svd: k must be in [1, min(rows, cols)]");
-  const std::size_t sketch = std::min(m, k + oversample);
-
-  random::Rng rng(seed);
-  DenseMatrix omega(m, sketch);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < sketch; ++j) {
-      omega(i, j) = random::normal(rng);
-    }
-  }
-
-  // Range finder: Q spans the dominant column space of A.
-  DenseMatrix y = a.multiply(omega);  // n×sketch
-  DenseMatrix q = orthonormalize_columns(y);
-  for (std::size_t it = 0; it < power_iters; ++it) {
-    // Subspace iteration with re-orthonormalization each half-step.
-    DenseMatrix z = a.transpose_multiply(q);  // m×sketch = Aᵀ Q
-    z = orthonormalize_columns(z);
-    y = a.multiply(z);  // n×sketch
-    q = orthonormalize_columns(y);
-  }
-
-  // Project: B = Qᵀ A (sketch×m), then exact small SVD of B.
-  const DenseMatrix b = q.transpose_multiply(a);
-  const SvdResult small = svd_gram(b, k);
-
-  SvdResult out;
-  out.singular_values = small.singular_values;
-  out.v = small.v;
-  out.u = q.multiply(small.u);  // n×k
   return out;
 }
 

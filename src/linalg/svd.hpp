@@ -1,15 +1,12 @@
-// Singular value decompositions of tall dense matrices.
+// Singular value decomposition of tall dense matrices.
 //
 // The published matrix Ỹ is n×m with m ≪ n (m is the projection dimension,
 // typically 100–500). Analysts recover spectral structure from its top-k
-// left singular vectors, so we provide:
-//  - svd_gram: exact thin SVD via the m×m Gram matrix (cheap when m small);
-//  - randomized_svd: Halko–Martinsson–Tropp sketch, for the ablation where
-//    m is large or only a few factors are needed.
+// left singular vectors, which svd_gram computes exactly through the m×m
+// Gram matrix (cheap when m is small).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "linalg/dense_matrix.hpp"
@@ -28,12 +25,5 @@ struct SvdResult {
 /// O(rows·cols² + cols³)). Requires 1 <= k <= cols. Singular vectors for
 /// numerically zero singular values are returned as zero columns of U.
 SvdResult svd_gram(const DenseMatrix& a, std::size_t k);
-
-/// Randomized top-k SVD (Halko et al. 2011): Gaussian sketch of size
-/// k+oversample, `power_iters` subspace iterations for spectral decay.
-/// Accurate to the k-th spectral gap with overwhelming probability.
-SvdResult randomized_svd(const DenseMatrix& a, std::size_t k,
-                         std::size_t oversample = 10,
-                         std::size_t power_iters = 2, std::uint64_t seed = 7);
 
 }  // namespace sgp::linalg

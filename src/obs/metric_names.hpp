@@ -19,8 +19,6 @@
 namespace sgp::obs::names {
 
 // --- counters ------------------------------------------------------------
-inline constexpr std::string_view kBetweennessBfsSources =
-    "betweenness.bfs_sources";
 inline constexpr std::string_view kEigenQlIterations = "eigen.ql_iterations";
 inline constexpr std::string_view kEigenSolves = "eigen.solves";
 inline constexpr std::string_view kFaultTrips = "fault.trips";
@@ -104,8 +102,6 @@ inline constexpr std::string_view kLedgerAppendSeconds =
 
 // --- span / ScopedTimer base names ---------------------------------------
 // Each timer also owns the derived "<name>.seconds" histogram.
-inline constexpr std::string_view kBetweennessApprox = "betweenness.approx";
-inline constexpr std::string_view kBetweennessExact = "betweenness.exact";
 inline constexpr std::string_view kIoLoadRelease = "io.load_release";
 inline constexpr std::string_view kIoReadEdges = "io.read_edges";
 inline constexpr std::string_view kIoReadShard = "io.read_shard";
@@ -140,9 +136,6 @@ inline constexpr std::string_view kToolStats = "tool.stats";
 /// consume this; keep it in sync with the constants above (the
 /// metric_names test enforces sortedness, uniqueness, and naming rules).
 inline constexpr std::string_view kAllNames[] = {
-    kBetweennessApprox,
-    kBetweennessBfsSources,
-    kBetweennessExact,
     kEigenQlIterations,
     kEigenSolves,
     kFaultTrips,

@@ -74,8 +74,9 @@ KernelVariant parse_kernel_variant(std::string_view name) {
   if (name == "generic") return KernelVariant::kGeneric;
   if (name == "avx2") return KernelVariant::kAvx2;
   if (name == "avx512") return KernelVariant::kAvx512;
-  throw util::ParseError("unknown kernel variant '" + std::string(name) +
-                         "' (expected auto|scalar|generic|avx2|avx512)");
+  throw util::PreconditionError("unknown kernel variant '" +
+                                std::string(name) +
+                                "' (expected auto|scalar|generic|avx2|avx512)");
 }
 
 bool kernel_supported(KernelVariant variant) {

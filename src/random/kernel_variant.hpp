@@ -50,7 +50,7 @@ enum class KernelVariant {
 /// metadata.
 [[nodiscard]] std::string_view to_string(KernelVariant variant);
 
-/// Inverse of to_string. Throws util::ParseError on an unknown name.
+/// Inverse of to_string. Throws util::PreconditionError on an unknown name.
 [[nodiscard]] KernelVariant parse_kernel_variant(std::string_view name);
 
 /// True when `variant` can run in this process: the translation unit for it
@@ -60,8 +60,8 @@ enum class KernelVariant {
 [[nodiscard]] bool kernel_supported(KernelVariant variant);
 
 /// The variant requested through SGP_FORCE_KERNEL, or kAuto when the
-/// variable is unset or empty. Throws util::ParseError on an unknown value
-/// and util::PreconditionError when the named variant is unsupported here.
+/// variable is unset or empty. Throws util::PreconditionError on an unknown
+/// value or when the named variant is unsupported here.
 [[nodiscard]] KernelVariant forced_kernel_from_env();
 
 /// Resolution for the Box–Muller normal path: kAuto yields the environment

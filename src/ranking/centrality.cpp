@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector_ops.hpp"
-#include "random/distributions.hpp"
-#include "random/rng.hpp"
 #include "util/check.hpp"
 
 namespace sgp::ranking {
@@ -82,42 +79,6 @@ std::vector<double> pagerank(const graph::Graph& g, double alpha,
     if (diff < tolerance) break;
   }
   return rank;
-}
-
-std::vector<double> closeness_centrality(const graph::Graph& g,
-                                         std::size_t num_sources,
-                                         std::uint64_t seed) {
-  const std::size_t n = g.num_nodes();
-  util::require(n > 0, "closeness: empty graph");
-  util::require(num_sources >= 1, "closeness: need at least one source");
-
-  std::vector<std::size_t> sources;
-  if (num_sources >= n) {
-    sources.resize(n);
-    for (std::size_t i = 0; i < n; ++i) sources[i] = i;
-  } else {
-    random::Rng rng(seed);
-    sources = random::sample_without_replacement(rng, n, num_sources);
-  }
-
-  std::vector<double> total(n, 0.0);
-  for (std::size_t s : sources) {
-    const auto dist = graph::bfs_distances(g, s);
-    for (std::size_t u = 0; u < n; ++u) {
-      const double d = dist[u] == std::numeric_limits<std::size_t>::max()
-                           ? static_cast<double>(n)
-                           : static_cast<double>(dist[u]);
-      total[u] += d;
-    }
-  }
-  std::vector<double> scores(n);
-  const double scale =
-      static_cast<double>(n) / static_cast<double>(sources.size());
-  for (std::size_t u = 0; u < n; ++u) {
-    // +1 keeps the score finite for the (sampled-source) zero-distance case.
-    scores[u] = 1.0 / (1.0 + scale * total[u]);
-  }
-  return scores;
 }
 
 std::vector<double> centrality_from_embedding(

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -34,14 +33,5 @@ std::vector<double> pagerank(const graph::Graph& g, double alpha = 0.85,
 /// (random projection preserves the dominant spectral structure).
 std::vector<double> centrality_from_embedding(
     const linalg::DenseMatrix& top_left_singular);
-
-/// Closeness centrality 1 / Σ_v d(u, v), estimated with BFS from
-/// `num_sources` sampled pivots (exact when num_sources >= n): for each
-/// sampled source s, every node accumulates d(s, u); scores are the inverse
-/// of the scaled sums. Unreachable pairs contribute n hops (standard
-/// harmonic-free convention for disconnected graphs).
-std::vector<double> closeness_centrality(const graph::Graph& g,
-                                         std::size_t num_sources,
-                                         std::uint64_t seed = 7);
 
 }  // namespace sgp::ranking

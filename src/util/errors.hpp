@@ -57,7 +57,7 @@ class IoError : public SgpError {
   explicit IoError(const std::string& msg) : SgpError(ErrorKind::kIo, msg) {}
 };
 
-/// An iterative solver (Lanczos, power iteration, QL) did not converge
+/// An iterative solver (Lanczos, QL) did not converge
 /// within its budget. Callers may retry with a larger budget or fall back
 /// to a direct method (see cluster/spectral.cpp).
 class ConvergenceError : public SgpError {

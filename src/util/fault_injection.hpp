@@ -35,7 +35,7 @@
 //   proc.spawn        util/subprocess.cpp process creation
 //   proc.worker.exit  core/distributed_publish.cpp worker shard loop (hard
 //                     process exit — see the effect table above)
-//   solver.iteration  linalg/lanczos.cpp and linalg/power_iteration.cpp loops
+//   solver.iteration  linalg/lanczos.cpp iteration loop
 //   alloc             core/projection.cpp projection-matrix allocation
 //
 // SGP_FAULT_SPEC grammar (documented in docs/robustness.md):

@@ -13,21 +13,9 @@
 namespace sgp::core {
 namespace {
 
-TEST(ProjectionTest, GaussianShapeAndScale) {
-  random::Rng rng(1);
-  const std::size_t n = 400, m = 100;
-  const auto p = gaussian_projection(n, m, rng);
-  EXPECT_EQ(p.rows(), n);
-  EXPECT_EQ(p.cols(), m);
-  // Entry variance should be 1/m.
-  double sum2 = 0;
-  for (double v : p.data()) sum2 += v * v;
-  EXPECT_NEAR(sum2 / static_cast<double>(n * m), 1.0 / m, 0.1 / m);
-}
-
 TEST(ProjectionTest, GaussianRowNormsConcentrateAroundOne) {
-  random::Rng rng(2);
-  const auto p = gaussian_projection(200, 128, rng);
+  const auto p =
+      make_projection_counter(200, 128, ProjectionKind::kGaussian, 2);
   for (std::size_t i = 0; i < p.rows(); ++i) {
     const double nrm = linalg::norm2(p.row(i));
     ASSERT_GT(nrm, 0.6) << "row " << i;
@@ -35,36 +23,12 @@ TEST(ProjectionTest, GaussianRowNormsConcentrateAroundOne) {
   }
 }
 
-TEST(ProjectionTest, AchlioptasEntriesTernary) {
-  random::Rng rng(3);
-  const std::size_t m = 27;
-  const auto p = achlioptas_projection(100, m, rng);
-  const double mag = std::sqrt(3.0 / m);
-  std::size_t zeros = 0;
-  for (double v : p.data()) {
-    ASSERT_TRUE(v == 0.0 || std::fabs(std::fabs(v) - mag) < 1e-12);
-    if (v == 0.0) ++zeros;
-  }
-  // Two thirds should be zero.
-  EXPECT_NEAR(static_cast<double>(zeros) / (100.0 * m), 2.0 / 3.0, 0.03);
-}
-
-TEST(ProjectionTest, AchlioptasUnitVarianceColumns) {
-  random::Rng rng(4);
-  const std::size_t n = 300, m = 64;
-  const auto p = achlioptas_projection(n, m, rng);
-  double sum2 = 0;
-  for (double v : p.data()) sum2 += v * v;
-  EXPECT_NEAR(sum2 / static_cast<double>(n * m), 1.0 / m, 0.15 / m);
-}
-
 TEST(ProjectionTest, PreservesNormsApproximately) {
   // JL property: ‖xP‖ ≈ ‖x‖ for a fixed sparse row x.
-  random::Rng rng(5);
   const std::size_t n = 1000, m = 256;
   for (ProjectionKind kind :
        {ProjectionKind::kGaussian, ProjectionKind::kAchlioptas}) {
-    const auto p = make_projection(n, m, kind, rng);
+    const auto p = make_projection_counter(n, m, kind, 5);
     std::vector<double> x(n, 0.0);
     for (std::size_t i = 0; i < 40; ++i) x[i * 25] = 1.0;  // ‖x‖ = √40
     const auto y = p.transpose_multiply_vector(x);
@@ -73,45 +37,49 @@ TEST(ProjectionTest, PreservesNormsApproximately) {
   }
 }
 
-TEST(ProjectionTest, DeterministicGivenRngState) {
-  random::Rng r1(9), r2(9);
-  const auto p1 = gaussian_projection(50, 10, r1);
-  const auto p2 = gaussian_projection(50, 10, r2);
-  EXPECT_EQ(p1, p2);
-}
-
-TEST(ProjectionTest, InvalidDimensionsThrow) {
-  random::Rng rng(1);
-  EXPECT_THROW(gaussian_projection(0, 5, rng), std::invalid_argument);
-  EXPECT_THROW(achlioptas_projection(5, 0, rng), std::invalid_argument);
-}
-
 TEST(ProjectionTest, ToStringNames) {
   EXPECT_EQ(to_string(ProjectionKind::kGaussian), "gaussian");
   EXPECT_EQ(to_string(ProjectionKind::kAchlioptas), "achlioptas");
 }
 
-TEST(ProjectionTest, UnknownKindIsInternalError) {
-  random::Rng rng(1);
-  EXPECT_THROW(make_projection(4, 2, static_cast<ProjectionKind>(99), rng),
-               util::InternalError);
+// parse_projection_kind is the one parse of these names, shared by the
+// CLI, its workers and the release loader: a typo is an error, never the
+// gaussian default.
+TEST(ProjectionTest, ParseIsTheInverseOfToString) {
+  for (ProjectionKind kind :
+       {ProjectionKind::kGaussian, ProjectionKind::kAchlioptas}) {
+    EXPECT_EQ(parse_projection_kind(to_string(kind)), kind);
+  }
+  for (const char* bad : {"foo", "achliptas", "Gaussian", ""}) {
+    EXPECT_THROW((void)parse_projection_kind(bad), util::PreconditionError)
+        << bad;
+  }
 }
 
-// achlioptas_projection writes only the non-zero entries and relies on
-// DenseMatrix(n, m) zero-initializing the 2/3 that stay zero. Pin that
-// contract explicitly so a future DenseMatrix change (e.g. uninitialized
-// storage for speed) cannot silently corrupt projections.
-TEST(ProjectionTest, DenseMatrixZeroInitBacksAchlioptasZeros) {
-  const linalg::DenseMatrix fresh(17, 13);
-  for (double v : fresh.data()) {
-    ASSERT_EQ(v, 0.0);
+TEST(ProjectionTest, UnknownKindIsInternalError) {
+  EXPECT_THROW(
+      make_projection_counter(4, 2, static_cast<ProjectionKind>(99), 1),
+      util::InternalError);
+}
+
+// The publish kernel reuses one tile buffer per thread, so a tile fill
+// must write every entry, the achlioptas zeros included: stale values in
+// the buffer must never survive into P.
+TEST(ProjectionTest, AchlioptasTileWritesItsZeros) {
+  const std::size_t n = 17, m = 13;
+  const auto p = make_projection_counter(n, m, ProjectionKind::kAchlioptas, 3);
+  std::vector<double> tile(n * m, std::nan(""));
+  fill_projection_tile(projection_counter_rng(3), m,
+                       ProjectionKind::kAchlioptas, 0, n, 0, m, tile.data());
+  for (std::size_t i = 0; i < n * m; ++i) {
+    ASSERT_EQ(tile[i], p.data()[i]) << i;
   }
 }
 
 TEST(ProjectionTest, AchlioptasFrequenciesMatchOneSixthSplit) {
-  random::Rng rng(11);
   const std::size_t n = 600, m = 100;
-  const auto p = achlioptas_projection(n, m, rng);
+  const auto p =
+      make_projection_counter(n, m, ProjectionKind::kAchlioptas, 11);
   const double mag = std::sqrt(3.0 / m);
   std::size_t plus = 0, minus = 0, zero = 0;
   for (double v : p.data()) {
@@ -207,6 +175,8 @@ TEST(CounterProjectionTest, TileBoundsValidated) {
                            tile.data()),
       std::invalid_argument);
   EXPECT_THROW(make_projection_counter(0, 4, ProjectionKind::kGaussian, 1),
+               std::invalid_argument);
+  EXPECT_THROW(make_projection_counter(5, 0, ProjectionKind::kAchlioptas, 1),
                std::invalid_argument);
 }
 

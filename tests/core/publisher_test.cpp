@@ -125,12 +125,15 @@ TEST(PublisherTest, ReleaseRecordsCounterRng) {
 
 TEST(PublisherTest, ProjectionRngTagRoundTrips) {
   EXPECT_EQ(to_string(ProjectionRngKind::kCounterV1), "counter-v1");
-  EXPECT_EQ(to_string(ProjectionRngKind::kSequentialLegacy), "sequential-v0");
+  EXPECT_EQ(to_string(ProjectionRngKind::kCounterV1Simd), "counter-v1-simd");
   EXPECT_EQ(parse_projection_rng("counter-v1"), ProjectionRngKind::kCounterV1);
-  EXPECT_EQ(parse_projection_rng("sequential-v0"),
-            ProjectionRngKind::kSequentialLegacy);
-  EXPECT_THROW(static_cast<void>(parse_projection_rng("quantum")),
-               util::ParseError);
+  EXPECT_EQ(parse_projection_rng("counter-v1-simd"),
+            ProjectionRngKind::kCounterV1Simd);
+  for (const char* gone : {"quantum", "sequential-v0"}) {
+    EXPECT_THROW(static_cast<void>(parse_projection_rng(gone)),
+                 util::ParseError)
+        << gone;
+  }
 }
 
 // The fused kernel must equal the explicit three-step pipeline — materialize

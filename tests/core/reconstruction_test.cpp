@@ -48,19 +48,6 @@ TEST(ReconstructionTest, CounterReleaseRegeneratesExactProjection) {
   EXPECT_EQ(s.projection, expected);
 }
 
-TEST(ReconstructionTest, LegacyReleaseUsesSequentialRng) {
-  // Releases loaded from v1 files carry the sequential-v0 tag; their P must
-  // come from the old sequential generator, not the counter one.
-  auto s = make_setup(4.0);
-  s.pub.projection_rng = ProjectionRngKind::kSequentialLegacy;
-  const auto legacy = regenerate_projection(s.pub, s.seed);
-  random::Rng rng(s.seed);
-  const auto expected = make_projection(s.pub.num_nodes, s.pub.projection_dim,
-                                        s.pub.projection, rng);
-  EXPECT_EQ(legacy, expected);
-  EXPECT_NE(legacy, s.projection);  // the two families genuinely differ
-}
-
 TEST(ReconstructionTest, EdgeScoresSeparateEdgesFromNonEdges) {
   const auto s = make_setup(16.0);
   // Average score over true edges should clearly exceed non-edges.

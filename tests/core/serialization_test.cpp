@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "graph/generators.hpp"
+#include "util/errors.hpp"
 
 namespace sgp::core {
 namespace {
@@ -60,7 +61,7 @@ TEST(SerializationTest, BadMagicThrows) {
 }
 
 TEST(SerializationTest, TruncatedHeaderThrows) {
-  std::stringstream buffer("sgp-published-graph v1\nnodes 10 dim 5\n");
+  std::stringstream buffer("sgp-published-graph v2\nnodes 10 dim 5\n");
   EXPECT_THROW(load_published(buffer), std::runtime_error);
 }
 
@@ -76,7 +77,7 @@ TEST(SerializationTest, TruncatedPayloadThrows) {
 
 TEST(SerializationTest, UnknownProjectionKindThrows) {
   std::stringstream buffer(
-      "sgp-published-graph v1\n"
+      "sgp-published-graph v2\n"
       "nodes 1 dim 1\n"
       "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
       "projection quantum\n"
@@ -96,10 +97,9 @@ TEST(SerializationTest, V2HeaderRecordsProjectionRng) {
             ProjectionRngKind::kCounterV1);
 }
 
-// A v1 file (written before the counter-RNG format bump) has no
-// projection_rng line; it must keep loading, tagged sequential-v0 so
-// reconstruction regenerates its P with the legacy sequential Rng.
-TEST(SerializationTest, LegacyV1FileLoadsAsSequential) {
+// Every release since the counter generator is v2. A v1 file drew its P
+// from a generator this build no longer has, so it is corrupt input.
+TEST(SerializationTest, V1FileIsAParseError) {
   std::string payload(2 * 8, '\0');  // 1 node × 2 dims of zero doubles
   std::stringstream buffer(
       "sgp-published-graph v1\n"
@@ -108,21 +108,7 @@ TEST(SerializationTest, LegacyV1FileLoadsAsSequential) {
       "projection gaussian\n"
       "data\n" +
       payload);
-  const auto loaded = load_published(buffer);
-  EXPECT_EQ(loaded.projection_rng, ProjectionRngKind::kSequentialLegacy);
-  EXPECT_EQ(loaded.num_nodes, 1u);
-  EXPECT_EQ(loaded.projection_dim, 2u);
-}
-
-TEST(SerializationTest, SequentialTagRoundTripsThroughV2) {
-  auto original = sample_release();
-  original.projection_rng = ProjectionRngKind::kSequentialLegacy;
-  std::stringstream buffer;
-  save_published(original, buffer);
-  EXPECT_NE(buffer.str().find("projection_rng sequential-v0\n"),
-            std::string::npos);
-  EXPECT_EQ(load_published(buffer).projection_rng,
-            ProjectionRngKind::kSequentialLegacy);
+  EXPECT_THROW(load_published(buffer), util::ParseError);
 }
 
 TEST(SerializationTest, UnknownProjectionRngThrows) {
@@ -134,6 +120,16 @@ TEST(SerializationTest, UnknownProjectionRngThrows) {
       "projection_rng quantum\n"
       "data\n");
   EXPECT_THROW(load_published(buffer), std::runtime_error);
+  // The sequential generator's tag went with the generator.
+  std::stringstream sequential(
+      "sgp-published-graph v2\n"
+      "nodes 1 dim 1\n"
+      "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+      "projection gaussian\n"
+      "projection_rng sequential-v0\n"
+      "data\n" +
+      std::string(8, '\0'));
+  EXPECT_THROW(load_published(sequential), util::ParseError);
 }
 
 TEST(SerializationTest, V2MissingProjectionRngLineThrows) {

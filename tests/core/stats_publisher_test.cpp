@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -102,6 +103,18 @@ TEST(DpDegreeHistogramTest, InvalidEpsilonThrows) {
   random::Rng rng(8);
   EXPECT_THROW(dp_degree_histogram(triangle_chain(), 0.0, 4, rng),
                std::invalid_argument);
+}
+
+// 0 used to size the histogram by the graph's true max degree, a length
+// that leaks it; SIZE_MAX wrapped the length to 0 and wrote out of bounds.
+TEST(DpDegreeHistogramTest, LengthMustBeFixedByTheCaller) {
+  random::Rng rng(9);
+  for (const std::size_t max_degree :
+       {std::size_t{0}, std::numeric_limits<std::size_t>::max()}) {
+    EXPECT_THROW(dp_degree_histogram(triangle_chain(), 1.0, max_degree, rng),
+                 std::invalid_argument)
+        << max_degree;
+  }
 }
 
 TEST(DpTriangleCountTest, CentersOnTruth) {

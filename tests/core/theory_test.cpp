@@ -7,7 +7,6 @@
 
 #include "core/projection.hpp"
 #include "linalg/vector_ops.hpp"
-#include "random/rng.hpp"
 
 namespace sgp::core {
 namespace {
@@ -22,8 +21,8 @@ TEST(SensitivityTest, BoundActuallyHoldsEmpirically) {
   // projection rows; sqrt(‖P_u‖² + ‖P_v‖²) should exceed the pair bound at
   // δ_p at rate ≤ δ_p — with δ_p = 0.01 and 2000 trials we allow a small
   // margin. The one-row bound sqrt(1 + 2√(t/m) + 2t/m), which calibration
-  // used to take, is exceeded by most pairs.
-  random::Rng rng(7);
+  // used to take, is exceeded by most pairs. Each trial draws its pair from
+  // the release generator under its own seed.
   const std::size_t m = 64;
   const double bound = projected_pair_sensitivity(m, 0.01);
   const double tail = std::log(1.0 / 0.01) / static_cast<double>(m);
@@ -32,7 +31,8 @@ TEST(SensitivityTest, BoundActuallyHoldsEmpirically) {
   int row_bound_violations = 0;
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
-    const auto p = gaussian_projection(2, m, rng);
+    const auto p = make_projection_counter(2, m, ProjectionKind::kGaussian,
+                                           static_cast<std::uint64_t>(t));
     const double nu = linalg::norm2(p.row(0));
     const double nv = linalg::norm2(p.row(1));
     const double change = std::sqrt(nu * nu + nv * nv);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -114,27 +113,6 @@ TEST(ComponentsTest, TwoChains) {
   EXPECT_EQ(cc.labels[0], cc.labels[2]);
   EXPECT_EQ(cc.labels[3], cc.labels[5]);
   EXPECT_NE(cc.labels[0], cc.labels[3]);
-}
-
-TEST(BfsTest, PathDistances) {
-  const auto g =
-      Graph::from_edges(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}});
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[0], 0u);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], 2u);
-  EXPECT_EQ(dist[3], 3u);
-}
-
-TEST(BfsTest, UnreachableIsMax) {
-  const auto g = triangle_plus_isolated();
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[3], std::numeric_limits<std::size_t>::max());
-}
-
-TEST(BfsTest, InvalidSourceThrows) {
-  const auto g = triangle_plus_isolated();
-  EXPECT_THROW(bfs_distances(g, 4), std::invalid_argument);
 }
 
 }  // namespace

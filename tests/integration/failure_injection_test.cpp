@@ -105,21 +105,47 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(
         "",                                   // empty
         "garbage",                            // wrong magic
-        "sgp-published-graph v2\n",           // wrong version
-        "sgp-published-graph v1\n",           // truncated after magic
-        "sgp-published-graph v1\nnodes x dim 5\n",  // non-numeric n
-        "sgp-published-graph v1\nnodes 0 dim 5\n",  // zero nodes
-        "sgp-published-graph v1\nnodes 5 dim 0\n",  // zero dim
-        "sgp-published-graph v1\nnodes 4 dim 2\nepsilon 1\n",  // short line
-        "sgp-published-graph v1\nnodes 4 dim 2\n"
+        "sgp-published-graph v1\n",           // wrong version
+        "sgp-published-graph v2\n",           // truncated after magic
+        "sgp-published-graph v2\nnodes x dim 5\n",  // non-numeric n
+        "sgp-published-graph v2\nnodes 0 dim 5\n",  // zero nodes
+        "sgp-published-graph v2\nnodes 5 dim 0\n",  // zero dim
+        "sgp-published-graph v2\nnodes 4 dim 2\nepsilon 1\n",  // short line
+        "sgp-published-graph v2\nnodes 4 dim 2\n",  // no privacy line
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon x delta 1e-6 sigma 2 sensitivity 1\n",  // non-numeric ε
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n",  // no projection line
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "kind gaussian\n",  // projection line under another key
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
         "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\nprojection dense\n"
         "data\n",  // unknown kind
-        "sgp-published-graph v1\nnodes 4 dim 2\n"
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
         "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
-        "projection gaussian\nDATA\n",  // wrong marker
-        "sgp-published-graph v1\nnodes 4 dim 2\n"
+        "projection gaussian\n",  // no projection_rng line
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
         "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
-        "projection gaussian\ndata\nshort"));  // truncated payload
+        "projection gaussian\ndata\n",  // v1 body under the v2 magic
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nrng counter-v1\ndata\n",  // rng under another key
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng sequential-v0\n"
+        "data\n",  // retired generator tag
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\n",  // no data marker
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\n"
+        "DATA\n",  // wrong marker
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\n"
+        "data\nshort"));  // truncated payload
 
 // --------------------------------------------------------------------------
 // Numerically hostile operators through Lanczos.

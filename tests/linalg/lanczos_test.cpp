@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -92,6 +93,28 @@ TEST(LanczosTest, DiagonalOperatorConverges) {
   EXPECT_TRUE(res.converged);
 }
 
+TEST(LanczosTest, BudgetExhaustionReportsNotConverged) {
+  // A 2000-cycle's top eigenvalues 2, 2cos(2π/n), ... are too close for
+  // ten steps. Running out of budget is a result, not an error: the solver
+  // returns its Ritz values with converged = false, and by Cauchy
+  // interlacing each lies below the eigenvalue it approximates.
+  const std::size_t n = 2000;
+  SymmetricOperator op{n, [n](std::span<const double> x, std::span<double> y) {
+                         for (std::size_t i = 0; i < n; ++i) {
+                           y[i] = x[(i + 1) % n] + x[(i + n - 1) % n];
+                         }
+                       }};
+  LanczosOptions opt;
+  opt.k = 2;
+  opt.max_iterations = 10;
+  const auto res = lanczos_topk(op, opt);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 10u);
+  ASSERT_EQ(res.values.size(), 2u);
+  EXPECT_LE(res.values[0], 2.0 + 1e-12);
+  EXPECT_LE(res.values[1], 2.0 * std::cos(2.0 * M_PI / n) + 1e-12);
+}
+
 TEST(LanczosTest, IdentityOperatorDegenerateSpectrum) {
   // All eigenvalues equal: Krylov space collapses after one step; the
   // restart logic must still deliver k orthonormal vectors.
@@ -108,6 +131,27 @@ TEST(LanczosTest, IdentityOperatorDegenerateSpectrum) {
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_NEAR(gram(i, j), i == j ? 1.0 : 0.0, 1e-8);
+    }
+  }
+}
+
+TEST(LanczosTest, ZeroOperator) {
+  // The Krylov space collapses at every step and |λ_max| is 0: the solver
+  // must still return k zero Ritz values with orthonormal vectors, not a
+  // ConvergenceError or a division by the zero scale.
+  SymmetricOperator op{10, [](std::span<const double>, std::span<double> y) {
+                         std::fill(y.begin(), y.end(), 0.0);
+                       }};
+  LanczosOptions opt;
+  opt.k = 2;
+  const auto res = lanczos_topk(op, opt);
+  ASSERT_EQ(res.values.size(), 2u);
+  EXPECT_EQ(res.values[0], 0.0);
+  EXPECT_EQ(res.values[1], 0.0);
+  const auto gram = res.vectors.gram();
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t j = 0; j < 2; ++j) {
+      EXPECT_NEAR(gram(i, j), i == j ? 1.0 : 0.0, 1e-12);
     }
   }
 }

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "linalg/qr.hpp"
+#include "linalg/eigen_sym.hpp"
 #include "random/distributions.hpp"
 #include "random/rng.hpp"
 
@@ -23,13 +23,20 @@ DenseMatrix random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   return m;
 }
 
+/// `cols` orthonormal columns of length `rows`: the top eigenvectors of a
+/// random Gram matrix.
+DenseMatrix orthonormal_columns(std::size_t rows, std::size_t cols,
+                                std::uint64_t seed) {
+  return symmetric_eigen(random_matrix(rows, rows, seed).gram())
+      .vectors.first_columns(cols);
+}
+
 /// Builds a rows×cols matrix with prescribed singular values.
 DenseMatrix with_spectrum(std::size_t rows, std::size_t cols,
                           const std::vector<double>& sigma,
                           std::uint64_t seed) {
-  const auto u = orthonormalize_columns(random_matrix(rows, sigma.size(), seed));
-  const auto v =
-      orthonormalize_columns(random_matrix(cols, sigma.size(), seed + 1));
+  const auto u = orthonormal_columns(rows, sigma.size(), seed);
+  const auto v = orthonormal_columns(cols, sigma.size(), seed + 1);
   DenseMatrix scaled = u;
   for (std::size_t j = 0; j < sigma.size(); ++j) {
     for (std::size_t i = 0; i < rows; ++i) scaled(i, j) *= sigma[j];
@@ -43,6 +50,31 @@ TEST(SvdGramTest, RecoversKnownSpectrum) {
   const auto svd = svd_gram(a, 3);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(svd.singular_values[i], sigma[i], 1e-8) << i;
+  }
+}
+
+// with_spectrum(rows, cols, σ, seed) plants U = orthonormal_columns(rows,
+// k, seed) and V = orthonormal_columns(cols, k, seed + 1); with distinct σ
+// the singular vectors are those columns up to sign.
+TEST(SvdGramTest, LeftVectorsAlignWithPlantedBasis) {
+  const auto a = with_spectrum(80, 30, {8.0, 4.0, 2.0}, 9);
+  const auto planted = orthonormal_columns(80, 3, 9);
+  const auto svd = svd_gram(a, 3);
+  for (std::size_t j = 0; j < 3; ++j) {
+    double d = 0.0;
+    for (std::size_t i = 0; i < 80; ++i) d += planted(i, j) * svd.u(i, j);
+    EXPECT_NEAR(std::fabs(d), 1.0, 1e-10) << "column " << j;
+  }
+}
+
+TEST(SvdGramTest, RightVectorsAlignWithPlantedBasis) {
+  const auto a = with_spectrum(80, 30, {8.0, 4.0, 2.0}, 9);
+  const auto planted = orthonormal_columns(30, 3, 10);
+  const auto svd = svd_gram(a, 3);
+  for (std::size_t j = 0; j < 3; ++j) {
+    double d = 0.0;
+    for (std::size_t i = 0; i < 30; ++i) d += planted(i, j) * svd.v(i, j);
+    EXPECT_NEAR(std::fabs(d), 1.0, 1e-10) << "column " << j;
   }
 }
 
@@ -149,62 +181,6 @@ TEST(SvdGramTest, FrobeniusIdentity) {
   double sum = 0;
   for (double s : svd.singular_values) sum += s * s;
   EXPECT_NEAR(sum, a.frobenius_norm() * a.frobenius_norm(), 1e-8);
-}
-
-TEST(RandomizedSvdTest, MatchesGramOnLowRank) {
-  const std::vector<double> sigma{10.0, 6.0, 3.0, 0.5};
-  const auto a = with_spectrum(120, 40, sigma, 8);
-  const auto exact = svd_gram(a, 4);
-  const auto approx = randomized_svd(a, 4, 10, 2, 99);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(approx.singular_values[i], exact.singular_values[i], 1e-6);
-  }
-}
-
-TEST(RandomizedSvdTest, LeftVectorsAlignWithExact) {
-  const auto a = with_spectrum(80, 30, {8.0, 4.0, 2.0}, 9);
-  const auto exact = svd_gram(a, 2);
-  const auto approx = randomized_svd(a, 2, 8, 2, 100);
-  for (std::size_t j = 0; j < 2; ++j) {
-    double d = 0;
-    for (std::size_t i = 0; i < 80; ++i) {
-      d += exact.u(i, j) * approx.u(i, j);
-    }
-    EXPECT_NEAR(std::fabs(d), 1.0, 1e-5) << "column " << j;
-  }
-}
-
-TEST(RandomizedSvdTest, DeterministicForSeed) {
-  const auto a = random_matrix(50, 20, 10);
-  const auto r1 = randomized_svd(a, 3, 5, 1, 42);
-  const auto r2 = randomized_svd(a, 3, 5, 1, 42);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(r1.singular_values[i], r2.singular_values[i]);
-  }
-}
-
-TEST(RandomizedSvdTest, InvalidKThrows) {
-  const auto a = random_matrix(10, 5, 11);
-  EXPECT_THROW(randomized_svd(a, 0), std::invalid_argument);
-  EXPECT_THROW(randomized_svd(a, 6), std::invalid_argument);
-}
-
-TEST(RandomizedSvdTest, PowerIterationsImproveAccuracy) {
-  // Slowly decaying spectrum: more power iterations → better σ estimates.
-  std::vector<double> sigma(20);
-  for (std::size_t i = 0; i < 20; ++i) {
-    sigma[i] = 1.0 / (1.0 + static_cast<double>(i) * 0.2);
-  }
-  const auto a = with_spectrum(200, 60, sigma, 12);
-  const auto exact = svd_gram(a, 5);
-  double err0 = 0, err3 = 0;
-  const auto approx0 = randomized_svd(a, 5, 5, 0, 7);
-  const auto approx3 = randomized_svd(a, 5, 5, 3, 7);
-  for (std::size_t i = 0; i < 5; ++i) {
-    err0 += std::fabs(approx0.singular_values[i] - exact.singular_values[i]);
-    err3 += std::fabs(approx3.singular_values[i] - exact.singular_values[i]);
-  }
-  EXPECT_LE(err3, err0 + 1e-12);
 }
 
 }  // namespace

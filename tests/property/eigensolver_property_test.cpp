@@ -1,8 +1,9 @@
-// Cross-solver property suite: three independent symmetric eigensolvers
-// (dense Householder–QL, Lanczos, deflated power iteration) must agree on
-// the top-of-spectrum across qualitatively different matrix families, and
-// the dense solver must match the cyclic Jacobi oracle over its whole
-// spectrum. Any disagreement localizes a solver bug immediately.
+// Cross-solver property suite: the two symmetric eigensolvers (dense
+// Householder–QL and Lanczos) must agree on the top-of-spectrum across
+// qualitatively different matrix families and on the graph operators the
+// pipelines build, and the dense solver must match the cyclic Jacobi oracle
+// over its whole spectrum. Any disagreement localizes a solver bug
+// immediately.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +12,11 @@
 #include <tuple>
 
 #include "../linalg/reference_linalg.hpp"
+#include "graph/generators.hpp"
+#include "graph/laplacian.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/lanczos.hpp"
-#include "linalg/power_iteration.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "random/distributions.hpp"
 #include "random/rng.hpp"
 
@@ -23,7 +26,7 @@ namespace {
 enum class Family {
   kRandomDense,       // GOE-like: continuous spectrum
   kClustered,         // many near-equal eigenvalues (hard for Lanczos)
-  kLowRank,           // rank 3 + zeros (hard for power iteration deflation)
+  kLowRank,           // rank 3 + zeros
   kGraphLike,         // 0/1 symmetric with planted block structure
   kIllConditioned,    // eigenvalues spanning 10 orders of magnitude
   kRepeated,          // exact multiplicities: 3, 3, 3, 1, ..., 1
@@ -121,10 +124,10 @@ DenseMatrix make_matrix(Family family, std::size_t n, std::uint64_t seed) {
     }
     case Family::kIllConditioned: {
       // Distinct eigenvalues spanning ~8 orders of magnitude. (Exact
-      // repeated eigenvalues are excluded by design: residual-based Lanczos
+      // repeated eigenvalues are kRepeated's subject: residual-based Lanczos
       // cannot detect missing multiplicities without exhausting the space —
-      // see the documented limitation in linalg/lanczos.hpp; the
-      // IdentityOperatorDegenerateSpectrum test covers the exhaustion path.)
+      // see the documented limitation in linalg/lanczos.hpp — so the
+      // agreement suite gives it the whole Krylov budget.)
       for (std::size_t i = 0; i < n; ++i) {
         a(i, i) = std::pow(10.0, -static_cast<double>(i) / 3.0);
       }
@@ -160,20 +163,49 @@ TEST_P(EigensolverAgreement, TopOfSpectrumMatchesAcrossSolvers) {
   lopt.order = EigenOrder::kDescendingMagnitude;
   const auto lanczos = lanczos_topk(dense_op(a), lopt);
 
-  PowerIterationOptions popt;
-  popt.k = 3;
-  popt.max_iterations = 200000;
-  popt.tolerance = 1e-13;
-  const auto power = power_iteration_topk(dense_op(a), popt);
-
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(lanczos.values[i], dense.values[i], 1e-7 * scale_ref)
         << family_name(family) << " lanczos idx " << i;
-    // Power iteration struggles on near-ties; allow a looser budget there.
-    const double power_tol =
-        family == Family::kClustered ? 2e-4 * scale_ref : 1e-6 * scale_ref;
-    EXPECT_NEAR(power.values[i], dense.values[i], power_tol)
-        << family_name(family) << " power idx " << i;
+  }
+}
+
+// The spectral embeddings use Lanczos' vectors, not only its values. A run
+// that reports `converged` must return orthonormal Ritz vectors whose true
+// residuals ‖Ax − λx‖, recomputed here from A, meet the solver's own bound
+// tolerance·|λ_1| (plus rounding).
+TEST_P(EigensolverAgreement, LanczosRitzPairsMeetTheirResidualBound) {
+  const auto [family, seed] = GetParam();
+  const std::size_t n = 24;
+  const auto a = make_matrix(family, n, seed);
+  const double scale_ref = std::max(1.0, a.frobenius_norm());
+
+  LanczosOptions lopt;
+  lopt.k = 3;
+  lopt.max_iterations = n;
+  lopt.order = EigenOrder::kDescendingMagnitude;
+  const auto lanczos = lanczos_topk(dense_op(a), lopt);
+  ASSERT_TRUE(lanczos.converged) << family_name(family);
+  ASSERT_EQ(lanczos.vectors.rows(), n);
+  ASSERT_EQ(lanczos.vectors.cols(), 3u);
+
+  const double bound =
+      lopt.tolerance * std::fabs(lanczos.values[0]) + 1e-12 * scale_ref;
+  for (std::size_t j = 0; j < 3; ++j) {
+    const auto x = lanczos.vectors.column(j);
+    const auto ax = a.multiply_vector(x);
+    double r2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = ax[i] - lanczos.values[j] * x[i];
+      r2 += d * d;
+    }
+    EXPECT_LE(std::sqrt(r2), bound) << family_name(family) << " pair " << j;
+  }
+  const auto xtx = lanczos.vectors.gram();
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_NEAR(xtx(i, j), i == j ? 1.0 : 0.0, 1e-12)
+          << family_name(family) << " (" << i << "," << j << ")";
+    }
   }
 }
 
@@ -181,8 +213,82 @@ INSTANTIATE_TEST_SUITE_P(
     Families, EigensolverAgreement,
     testing::Combine(testing::Values(Family::kRandomDense, Family::kClustered,
                                      Family::kLowRank, Family::kGraphLike,
-                                     Family::kIllConditioned),
+                                     Family::kIllConditioned,
+                                     Family::kRepeated),
                      testing::Values(1ULL, 2ULL, 3ULL)));
+
+// The operators the pipelines hand to Lanczos, on the synthetic graph
+// families: the adjacency matrix (LNPP's true eigenpairs) and the
+// normalized adjacency (spectral clustering). Each call runs with the
+// options the pipelines use (default budget and tolerance, algebraic
+// order); it must converge, and its top-k values must be the dense
+// solver's to within the residual bound.
+enum class GraphModel { kSbm, kBarabasiAlbert, kWattsStrogatz, kSocial };
+
+std::string model_name(GraphModel model) {
+  switch (model) {
+    case GraphModel::kSbm: return "sbm";
+    case GraphModel::kBarabasiAlbert: return "ba";
+    case GraphModel::kWattsStrogatz: return "ws";
+    case GraphModel::kSocial: return "social";
+  }
+  return "?";
+}
+
+graph::Graph make_graph(GraphModel model, std::size_t n) {
+  random::Rng rng(31);
+  switch (model) {
+    case GraphModel::kSbm:
+      return graph::stochastic_block_model({n / 2, n - n / 2}, 0.2, 0.02, rng)
+          .graph;
+    case GraphModel::kBarabasiAlbert:
+      return graph::barabasi_albert(n, 3, rng);
+    case GraphModel::kWattsStrogatz:
+      return graph::watts_strogatz(n, 6, 0.1, rng);
+    case GraphModel::kSocial:
+      return graph::social_network_model({n / 2, n - n / 2}, 0.2, 0.02, 2,
+                                         rng)
+          .graph;
+  }
+  return graph::Graph::from_edges(n, {});
+}
+
+class GraphSpectrumAgreement
+    : public testing::TestWithParam<std::tuple<GraphModel, bool>> {};
+
+TEST_P(GraphSpectrumAgreement, PipelineLanczosMatchesDenseSolver) {
+  const auto [model, normalized] = GetParam();
+  const std::size_t n = 200, k = 4;
+  const graph::Graph g = make_graph(model, n);
+  const CsrMatrix op_matrix = normalized ? graph::normalized_adjacency_matrix(g)
+                                         : g.adjacency_matrix();
+  const SymmetricOperator op{
+      n, [&op_matrix](std::span<const double> x, std::span<double> y) {
+        const auto r = op_matrix.multiply_vector(x);
+        std::copy(r.begin(), r.end(), y.begin());
+      }};
+  LanczosOptions lopt;
+  lopt.k = k;
+  const auto lanczos = lanczos_topk(op, lopt);
+  const auto dense = symmetric_eigen(op_matrix.to_dense());
+
+  const std::string what =
+      model_name(model) + (normalized ? " normalized" : " adjacency");
+  ASSERT_TRUE(lanczos.converged) << what;
+  const double bound =
+      lopt.tolerance * std::fabs(dense.values[0]) + 1e-12 * n;
+  for (std::size_t i = 0; i < k; ++i) {
+    EXPECT_NEAR(lanczos.values[i], dense.values[i], bound) << what << " " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, GraphSpectrumAgreement,
+    testing::Combine(testing::Values(GraphModel::kSbm,
+                                     GraphModel::kBarabasiAlbert,
+                                     GraphModel::kWattsStrogatz,
+                                     GraphModel::kSocial),
+                     testing::Bool()));
 
 // symmetric_eigen against the Jacobi oracle over the whole spectrum:
 // eigenvalues agree to 1e-12·‖A‖_F, every pair has residual

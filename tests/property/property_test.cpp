@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 #include "cluster/metrics.hpp"
 #include "core/serialization.hpp"
@@ -68,9 +69,8 @@ class ProjectionProperty
 
 TEST_P(ProjectionProperty, NormPreservedWithinConcentrationBound) {
   const auto [m, kind] = GetParam();
-  random::Rng rng(42 + m);
   const std::size_t n = 600;
-  const auto p = core::make_projection(n, m, kind, rng);
+  const auto p = core::make_projection_counter(n, m, kind, 42 + m);
   std::vector<double> x(n, 0.0);
   for (std::size_t i = 0; i < 30; ++i) x[i * 20] = 1.0;
   const double true_norm2 = 30.0;
@@ -84,12 +84,49 @@ TEST_P(ProjectionProperty, NormPreservedWithinConcentrationBound) {
 
 TEST_P(ProjectionProperty, EntriesHaveUnitColumnVariance) {
   const auto [m, kind] = GetParam();
-  random::Rng rng(7 + m);
-  const auto p = core::make_projection(500, m, kind, rng);
+  const auto p = core::make_projection_counter(500, m, kind, 7 + m);
   double sum2 = 0.0;
   for (double v : p.data()) sum2 += v * v;
   const double per_entry = sum2 / static_cast<double>(500 * m);
   EXPECT_NEAR(per_entry * static_cast<double>(m), 1.0, 0.12);
+}
+
+// Edge scores and the analyst's Gram are inner products of projected rows,
+// so P must preserve ⟨x, y⟩ and not only ‖x‖. For i.i.d. entries with
+// E[P²] = 1/m and E[P⁴] = 3/m² (both kinds), ⟨xP, yP⟩ has mean ⟨x, y⟩ and
+// variance (‖x‖²‖y‖² + ⟨x, y⟩²)/m; checked at 4.5 standard deviations.
+TEST_P(ProjectionProperty, InnerProductsPreservedWithinConcentrationBound) {
+  const auto [m, kind] = GetParam();
+  const std::size_t n = 600;
+  const auto p = core::make_projection_counter(n, m, kind, 42 + m);
+  std::vector<double> x(n, 0.0), y(n, 0.0);
+  for (std::size_t i = 0; i < 30; ++i) x[i * 20] = 1.0;
+  for (std::size_t i = 20; i < 50; ++i) y[i * 10] = 1.0;  // 15 shared nodes
+  const double true_dot = linalg::dot(x, y);
+  ASSERT_EQ(true_dot, 15.0);
+  const double projected_dot = linalg::dot(p.transpose_multiply_vector(x),
+                                           p.transpose_multiply_vector(y));
+  const double sd =
+      std::sqrt((30.0 * 30.0 + true_dot * true_dot) / static_cast<double>(m));
+  EXPECT_NEAR(projected_dot, true_dot, 4.5 * sd);
+}
+
+// Every tile the publish kernel fills, at any row and column offset (SIMD
+// lane tails included), holds exactly the entries of the materialized P.
+TEST_P(ProjectionProperty, TileAtRaggedOffsetsMatchesMaterialized) {
+  const auto [m, kind] = GetParam();
+  const std::size_t n = 97;
+  const auto p = core::make_projection_counter(n, m, kind, 5 + m);
+  const std::size_t r0 = 13, r1 = 90, c0 = m / 3 + 1, c1 = m - 1;
+  std::vector<double> tile((r1 - r0) * (c1 - c0));
+  core::fill_projection_tile(core::projection_counter_rng(5 + m), m, kind, r0,
+                             r1, c0, c1, tile.data());
+  for (std::size_t i = r0; i < r1; ++i) {
+    for (std::size_t j = c0; j < c1; ++j) {
+      ASSERT_EQ(tile[(i - r0) * (c1 - c0) + (j - c0)], p(i, j))
+          << "(" << i << "," << j << ")";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -228,8 +228,8 @@ TEST(KernelVariantTest, NamesRoundTrip) {
         KernelVariant::kAvx2, KernelVariant::kAvx512}) {
     EXPECT_EQ(parse_kernel_variant(to_string(v)), v);
   }
-  EXPECT_THROW((void)parse_kernel_variant("sse9"), util::ParseError);
-  EXPECT_THROW((void)parse_kernel_variant(""), util::ParseError);
+  EXPECT_THROW((void)parse_kernel_variant("sse9"), util::PreconditionError);
+  EXPECT_THROW((void)parse_kernel_variant(""), util::PreconditionError);
 }
 
 TEST(KernelVariantTest, ScalarAndGenericAreAlwaysSupported) {

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "graph/generators.hpp"
+#include "linalg/lanczos.hpp"
 #include "ranking/metrics.hpp"
 
 namespace sgp::ranking {
@@ -63,6 +64,27 @@ TEST(EigenvectorCentralityTest, EmptyEdgeSetStaysUniform) {
   const auto g = graph::Graph::from_edges(5, {});
   const auto scores = eigenvector_centrality(g);
   for (double s : scores) EXPECT_NEAR(s, 1.0 / std::sqrt(5.0), 1e-12);
+}
+
+TEST(EigenvectorCentralityTest, MatchesLanczosPerronVector) {
+  // Two independent solvers on a connected BA graph: centrality's shifted
+  // power iteration and Lanczos must find the same unit Perron vector.
+  random::Rng rng(12);
+  const auto g = graph::barabasi_albert(200, 3, rng);
+  const auto a = g.adjacency_matrix();
+  linalg::SymmetricOperator op{
+      g.num_nodes(), [&a](std::span<const double> x, std::span<double> y) {
+        const auto r = a.multiply_vector(x);
+        std::copy(r.begin(), r.end(), y.begin());
+      }};
+  linalg::LanczosOptions opt;
+  opt.k = 1;
+  const auto top = linalg::lanczos_topk(op, opt);
+  ASSERT_TRUE(top.converged);
+  const auto scores = eigenvector_centrality(g);
+  for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_NEAR(scores[u], std::fabs(top.vectors(u, 0)), 1e-6) << u;
+  }
 }
 
 TEST(EigenvectorCentralityTest, EmptyGraphThrows) {

@@ -203,6 +203,10 @@ TEST(AnalyzeCliTest, UnreadFlagsExitUsageError) {
       {"--task rank --tpo 5", "--tpo"},
       {"--task info --clusters 4", "--clusters"},
       {"--task rank --mechanism privgraph", "--mechanism"},
+      // A malformed value: --top -1 used to print every node, and
+      // --trace foo aborted.
+      {"--task rank --top -1", "--top"},
+      {"--task info --trace foo", "--trace"},
   };
   for (const auto& c : cases) {
     const CliResult result =

@@ -45,6 +45,7 @@ class PublishCliTest : public testing::Test {
   void TearDown() override {
     std::filesystem::remove(edges_);
     std::filesystem::remove(release_);
+    std::filesystem::remove(release_ + ".ckpt");
   }
 
   CliResult publish(const std::string& flags) const {
@@ -115,12 +116,22 @@ TEST_F(PublishCliTest, InMemoryRejectsShardOnlyFlags) {
 
 // A number flag must parse whole: "2x" used to publish at m = 2, and a
 // seed of -1 used to wrap to 2^64 - 1. Seeds take the full unsigned range.
+// A negative count used to wrap too (exit 5, with the release and its
+// shard log left behind), a mode count of 0 was ignored, --io-attempts 0
+// exited 2 only after writing both files, an unknown --projection
+// published gaussian, --kernel foo exited 3 and --trace 2 aborted: every
+// malformed value exits 2 before any file exists.
 TEST_F(PublishCliTest, MalformedNumbersAreUsageErrors) {
   for (const char* flags :
-       {"--dim 2x", "--seed 7abc", "--seed -1", "--epsilon 1e"}) {
+       {"--dim 2x", "--seed 7abc", "--seed -1", "--epsilon 1e",
+        "--shard-rows 100 --threads -3", "--workers -1", "--shard-rows 0",
+        "--max-memory-mb 0", "--shard-rows 2 --io-attempts 0",
+        "--kernel foo", "--projection foo",
+        "--projection achliptas", "--trace 2", "--trace foo"}) {
     const CliResult result = publish(flags);
     EXPECT_EQ(result.exit_code, 2) << flags << ": " << result.stderr_text;
     EXPECT_FALSE(std::filesystem::exists(release_)) << flags;
+    EXPECT_FALSE(std::filesystem::exists(release_ + ".ckpt")) << flags;
   }
   EXPECT_EQ(publish("--seed 18446744073709551615").exit_code, 0);
   EXPECT_TRUE(std::filesystem::exists(release_));
@@ -182,11 +193,18 @@ TEST_F(PublishCliTest, StreamingWithLedgerIsRejectedBeforeCharging) {
   std::filesystem::remove(ledger);
 }
 
+// A malformed value is a usage error too: --max-degree -1 used to crash
+// (SIGSEGV), 0 released a histogram sized by the true max degree, and
+// --trace 2 aborted.
 TEST_F(PublishCliTest, StatsRejectsUnusedFlags) {
   const CliResult typo = stats("--epsilom 0.5");
   EXPECT_EQ(typo.exit_code, 2) << typo.stderr_text;
   EXPECT_NE(typo.stderr_text.find("--epsilom"), std::string::npos)
       << typo.stderr_text;
+  for (const char* flags : {"--max-degree -1", "--max-degree 0", "--trace 2"}) {
+    const CliResult bad = stats(flags);
+    EXPECT_EQ(bad.exit_code, 2) << flags << ": " << bad.stderr_text;
+  }
   const CliResult ok = stats("--epsilon 0.5 --seed 3");
   EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
 }
@@ -240,18 +258,23 @@ TEST_F(PublishCliTest, EveryToolReportIsOneSchema) {
 }
 
 // --metrics-format means nothing without --metrics-out: it used to be
-// dropped silently; now it is an unread flag.
+// dropped silently; now it is an unread flag. A format other than json or
+// prometheus used to write JSON; now it exits 2 and writes nothing.
 TEST_F(PublishCliTest, MetricsFormatNeedsMetricsOut) {
+  const std::string metrics = temp_path("sgp_publish_cli.prom");
   for (const bool use_stats : {false, true}) {
-    const CliResult result = use_stats
-                                 ? stats("--metrics-format prometheus")
-                                 : publish("--metrics-format prometheus");
-    EXPECT_EQ(result.exit_code, 2) << result.stderr_text;
-    EXPECT_NE(result.stderr_text.find("--metrics-format"), std::string::npos)
-        << result.stderr_text;
+    for (const std::string& flags :
+         {std::string("--metrics-format prometheus"),
+          "--metrics-out '" + metrics + "' --metrics-format xml"}) {
+      const CliResult result = use_stats ? stats(flags) : publish(flags);
+      EXPECT_EQ(result.exit_code, 2) << flags << ": " << result.stderr_text;
+      EXPECT_NE(result.stderr_text.find("--metrics-format"),
+                std::string::npos)
+          << result.stderr_text;
+      EXPECT_FALSE(std::filesystem::exists(metrics)) << flags;
+    }
   }
   EXPECT_FALSE(std::filesystem::exists(release_));
-  const std::string metrics = temp_path("sgp_publish_cli.prom");
   const CliResult ok = publish("--metrics-out '" + metrics +
                                "' --metrics-format prometheus");
   EXPECT_EQ(ok.exit_code, 0) << ok.stderr_text;
@@ -270,7 +293,10 @@ TEST_F(PublishCliTest, GenerateRejectsUnreadFlags) {
     const char* flags;
     const char* named;
   } cases[] = {{"--model ba --nodse 50", "--nodse"},
-               {"--model ba --p 0.1", "--p"}};
+               {"--model ba --p 0.1", "--p"},
+               // A malformed value: these used to exit 5 and abort.
+               {"--model sbm --communities -1", "--communities"},
+               {"--model ba --nodes 50 --trace 2", "--trace"}};
   for (const auto& c : cases) {
     const CliResult result = run(std::string(SGP_GENERATE_BIN) + " " +
                                  c.flags + " --out '" + graph + "'");

@@ -177,9 +177,9 @@ int main(int argc, char** argv) {
                  args.program().c_str(), args.program().c_str());
     return sgp::tools::kExitUsage;
   }
-  const sgp::tools::ObsScope obs_scope(args, "sgp_analyze");
 
   return sgp::tools::run_tool([&]() -> int {
+    const sgp::tools::ObsScope obs_scope(args, "sgp_analyze");
     // Each mode reads only its own flags; anything else given exits 2.
     if (!compare_path.empty()) {
       const std::string mechanism = args.get_string("mechanism", "");
@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
     const std::uint64_t seed =
         task == "cluster" ? args.get_uint64("seed", 7) : 0;
     const auto clusters = static_cast<std::size_t>(
-        task == "cluster" ? args.get_int("clusters", 0) : 0);
-    const auto top =
-        static_cast<std::size_t>(task == "rank" ? args.get_int("top", 100) : 0);
+        task == "cluster" ? args.get_uint64("clusters", 0) : 0);
+    const auto top = static_cast<std::size_t>(
+        task == "rank" ? args.get_uint64("top", 100) : 0);
     args.reject_unread();
     sgp::obs::ScopedTimer task_timer("tool." + task);
     const auto release = sgp::core::load_published_file(release_path);

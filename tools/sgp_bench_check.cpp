@@ -23,7 +23,7 @@ namespace {
 
 // Per-experiment metadata contracts, beyond the generic schema: BENCH_E7
 // carries the scalability configuration (projection_rng and thread count
-// matter for interpreting the fused-vs-legacy numbers).
+// matter for interpreting the fused-vs-materialized numbers).
 // The kernel-variant meta axis, shared by every benchmark that touches the
 // publish pipeline: timings are only comparable within a variant, so each
 // report must say which normal-mapping kernel generated its numbers.

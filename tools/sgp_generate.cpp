@@ -61,17 +61,17 @@ int main(int argc, char** argv) {
                  args.program().c_str());
     return sgp::tools::kExitUsage;
   }
-  const sgp::tools::ObsScope obs_scope(args, "sgp_generate");
 
   return sgp::tools::run_tool([&]() -> int {
+    const sgp::tools::ObsScope obs_scope(args, "sgp_generate");
     sgp::random::Rng rng(args.get_uint64("seed", 7));
     // Each model reads only its own flags, so a flag of another model (or
     // a typo) is left unread and refused before anything is generated.
     std::function<sgp::graph::PlantedGraph()> generate;
     if (model == "sbm") {
       const auto communities =
-          static_cast<std::size_t>(args.get_int("communities", 8));
-      const auto size = static_cast<std::size_t>(args.get_int("size", 500));
+          static_cast<std::size_t>(args.get_uint64("communities", 8));
+      const auto size = static_cast<std::size_t>(args.get_uint64("size", 500));
       const double p_in = args.get_double("p-in", 0.2);
       const double p_out = args.get_double("p-out", 0.004);
       generate = [=, &rng] {
@@ -79,22 +79,26 @@ int main(int argc, char** argv) {
             std::vector<std::size_t>(communities, size), p_in, p_out, rng);
       };
     } else if (model == "ba") {
-      const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 4000));
-      const auto attach = static_cast<std::size_t>(args.get_int("attach", 5));
+      const auto nodes =
+          static_cast<std::size_t>(args.get_uint64("nodes", 4000));
+      const auto attach =
+          static_cast<std::size_t>(args.get_uint64("attach", 5));
       generate = [=, &rng] {
         return sgp::graph::PlantedGraph{
             sgp::graph::barabasi_albert(nodes, attach, rng), {}};
       };
     } else if (model == "er") {
-      const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 1000));
+      const auto nodes =
+          static_cast<std::size_t>(args.get_uint64("nodes", 1000));
       const double p = args.get_double("p", 0.01);
       generate = [=, &rng] {
         return sgp::graph::PlantedGraph{
             sgp::graph::erdos_renyi(nodes, p, rng), {}};
       };
     } else if (model == "ws") {
-      const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 1000));
-      const auto k = static_cast<std::size_t>(args.get_int("k", 10));
+      const auto nodes =
+          static_cast<std::size_t>(args.get_uint64("nodes", 1000));
+      const auto k = static_cast<std::size_t>(args.get_uint64("k", 10));
       const double beta = args.get_double("beta", 0.1);
       generate = [=, &rng] {
         return sgp::graph::PlantedGraph{

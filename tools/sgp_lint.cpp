@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
           "'");
     }
     options.threads =
-        static_cast<std::size_t>(args.get_int("threads", 0));
+        static_cast<std::size_t>(args.get_uint64("threads", 0));
     options.use_cache = args.get_bool("cache", false);
     if (options.use_cache) {
       options.cache_path = args.get_string(

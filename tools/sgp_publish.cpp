@@ -83,6 +83,17 @@ std::string self_program(const sgp::util::CliArgs& args) {
   return ec ? args.program() : exe.string();
 }
 
+/// A count flag that selects out-of-core publishing: absent reads as 0,
+/// and a given 0 is a usage error rather than "not given".
+std::size_t mode_count(const sgp::util::CliArgs& args, const char* flag) {
+  const auto value = static_cast<std::size_t>(args.get_uint64(flag, 0));
+  if (value == 0 && args.has(flag)) {
+    throw sgp::util::PreconditionError(std::string("--") + flag +
+                                       " must be at least 1");
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,28 +115,27 @@ int main(int argc, char** argv) {
                  args.program().c_str());
     return sgp::tools::kExitUsage;
   }
-  sgp::tools::ObsScope obs_scope(args, "sgp_publish");
-
-  // Hidden child-process mode: the distributed coordinator re-invokes this
-  // binary with --worker plus its shard assignment (docs/scaling.md).
-  if (args.get_bool("worker", false)) {
-    return sgp::tools::run_tool(
-        [&]() -> int { return sgp::core::run_publish_worker(args); });
-  }
 
   return sgp::tools::run_tool([&]() -> int {
+    sgp::tools::ObsScope obs_scope(args, "sgp_publish");
+    // Hidden child-process mode: the distributed coordinator re-invokes
+    // this binary with --worker plus its shard assignment (docs/scaling.md).
+    if (args.get_bool("worker", false)) {
+      return sgp::core::run_publish_worker(args);
+    }
+
     const auto policy = args.get_bool("preserve-ids", false)
                             ? sgp::graph::IdPolicy::kPreserve
                             : sgp::graph::IdPolicy::kCompact;
 
     sgp::core::RandomProjectionPublisher::Options opt;
-    opt.projection_dim = static_cast<std::size_t>(args.get_int("dim", 100));
+    opt.projection_dim =
+        static_cast<std::size_t>(args.get_uint64("dim", 100));
     opt.params = {args.get_double("epsilon", 1.0),
                   args.get_double("delta", 1e-6)};
     opt.seed = args.get_uint64("seed", 7);
-    if (args.get_string("projection", "gaussian") == "achlioptas") {
-      opt.projection = sgp::core::ProjectionKind::kAchlioptas;
-    }
+    opt.projection = sgp::core::parse_projection_kind(
+        args.get_string("projection", "gaussian"));
     opt.kernel =
         sgp::random::parse_kernel_variant(args.get_string("kernel", "auto"));
     const std::string ledger_path = args.get_string("ledger", "");
@@ -141,12 +151,10 @@ int main(int argc, char** argv) {
                            args.get_double("budget-delta", 1e-5)};
     }
 
-    const auto shard_rows_flag =
-        static_cast<std::size_t>(args.get_int("shard-rows", 0));
-    const auto max_memory_mb =
-        static_cast<std::size_t>(args.get_int("max-memory-mb", 0));
+    const std::size_t shard_rows_flag = mode_count(args, "shard-rows");
+    const std::size_t max_memory_mb = mode_count(args, "max-memory-mb");
     const auto workers_flag =
-        static_cast<std::size_t>(args.get_int("workers", 0));
+        static_cast<std::size_t>(args.get_uint64("workers", 0));
     if (shard_rows_flag > 0 || max_memory_mb > 0 || workers_flag > 0) {
       // Out-of-core path: the graph is never materialized — the reader
       // scans the file once for shape, then the shard coordinator streams
@@ -154,12 +162,12 @@ int main(int argc, char** argv) {
       // worker process under --workers.
       sgp::core::DistributedPublishOptions dopt;
       dopt.sharded.threads =
-          static_cast<std::size_t>(args.get_int("threads", 0));
+          static_cast<std::size_t>(args.get_uint64("threads", 0));
       dopt.sharded.resume = !args.get_bool("no-resume", false);
       // Worker runs default to riding out transient shard-IO failures; the
       // single-process path stays fail-fast unless asked.
       dopt.sharded.io_retry.max_attempts = static_cast<std::size_t>(
-          args.get_int("io-attempts", workers_flag > 0 ? 3 : 1));
+          args.get_uint64("io-attempts", workers_flag > 0 ? 3 : 1));
       dopt.workers = workers_flag;
       if (workers_flag > 0) {
         dopt.worker_program = self_program(args);

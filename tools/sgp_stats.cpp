@@ -17,6 +17,7 @@
 #include "obs/metric_names.hpp"
 #include "obs/scoped_timer.hpp"
 #include "tool_common.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -30,14 +31,17 @@ int main(int argc, char** argv) {
                  args.program().c_str());
     return sgp::tools::kExitUsage;
   }
-  const sgp::tools::ObsScope obs_scope(args, "sgp_stats");
 
   return sgp::tools::run_tool([&]() -> int {
+    const sgp::tools::ObsScope obs_scope(args, "sgp_stats");
     const double total_eps = args.get_double("epsilon", 1.0);
     const auto max_degree =
-        static_cast<std::size_t>(args.get_int("max-degree", 200));
+        static_cast<std::size_t>(args.get_uint64("max-degree", 200));
+    // dp_degree_histogram refuses 0 as well, but only after the edge count
+    // has been released.
+    sgp::util::require(max_degree >= 1, "--max-degree must be at least 1");
     const auto degree_bound =
-        static_cast<std::size_t>(args.get_int("degree-bound", 0));
+        static_cast<std::size_t>(args.get_uint64("degree-bound", 0));
     sgp::random::Rng rng(args.get_uint64("seed", 7));
     // A misspelt or unknown flag is a usage error, not a silent default.
     args.reject_unread();

@@ -19,10 +19,13 @@
 //                          counters, gauges, histograms, phases, spans,
 //                          events) on exit — also on error exits, so failed
 //                          runs are diagnosable
-//   --metrics-format prometheus   write the Prometheus text format instead
+//   --metrics-format json|prometheus   the report's format, JSON by default
 //                          (read only with --metrics-out)
 //   --trace                enable trace spans; a human-readable span tree
 //                          is printed to stderr on exit
+//
+// A tool builds its ObsScope inside run_tool, so a malformed value of
+// these flags exits 2 like any other usage error.
 #pragma once
 
 #include <cstdio>
@@ -60,8 +63,7 @@ class ObsScope {
         metrics_path_(args.get_string("metrics-out", "")),
         // Left unread without --metrics-out, so reject_unread() refuses it.
         prometheus_(!metrics_path_.empty() &&
-                    args.get_string("metrics-format", "json") ==
-                        "prometheus"),
+                    is_prometheus(args.get_string("metrics-format", "json"))),
         trace_(args.get_bool("trace", false)) {
     if (metrics_on()) {
       obs::set_metrics_enabled(true);
@@ -151,6 +153,15 @@ class ObsScope {
   }
 
  private:
+  static bool is_prometheus(const std::string& format) {
+    if (format != "json" && format != "prometheus") {
+      throw util::PreconditionError(
+          "--metrics-format must be json or prometheus, got '" + format +
+          "'");
+    }
+    return format == "prometheus";
+  }
+
   std::string tool_name_;
   std::string metrics_path_;
   bool prometheus_;
