@@ -8,10 +8,16 @@
 // over the process lifetime — so shard heights run in ascending footprint
 // order and each row's reading reflects the largest footprint so far.
 //
+// A last table times the same file published both ways at the same thread
+// count (the global pool): in memory (read_edge_list_file → publish →
+// save_published_file) and sharded (EdgeListShardReader + publish_sharded,
+// 4 shards). Their ratio is meta sharded_over_inmemory.
+//
 // Usage: bench_e13_sharded [--nodes N] [--dim M]   (defaults 20000 / 100).
 // The ctest schema fixture runs it with a tiny --nodes so validating
 // BENCH_E13.json stays fast; the meta keys (shard_rows, peak_rss_mb,
-// threads) are emitted regardless of size.
+// threads, sharded_over_inmemory) are emitted regardless of size.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +27,8 @@
 
 #include "common.hpp"
 #include "core/distributed_publish.hpp"
+#include "core/publisher.hpp"
+#include "core/serialization.hpp"
 #include "core/sharded_publish.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -177,12 +185,52 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", process_table.to_string().c_str());
 
+  // Sharded over in-memory, median of three runs each, both on the global
+  // pool; the two must write the same bytes.
+  std::printf("\nSharded over in-memory (shard_rows=%zu, global pool):\n",
+              std::max<std::size_t>(1, n / 4));
+  opt.threads = 0;
+  opt.shard_rows = std::max<std::size_t>(1, n / 4);
+  const auto median_seconds = [](const char* span, const auto& publish) {
+    std::vector<double> seconds;
+    for (int run = 0; run < 3; ++run) {
+      sgp::obs::ScopedTimer timer(span);
+      publish();
+      seconds.push_back(timer.stop());
+    }
+    std::sort(seconds.begin(), seconds.end());
+    return seconds[1];
+  };
+  const double inmemory_seconds = median_seconds("bench.inmemory", [&] {
+    const sgp::graph::Graph g = sgp::graph::read_edge_list_file(
+        edges_path, sgp::graph::IdPolicy::kPreserve);
+    sgp::core::save_published_file(
+        sgp::core::RandomProjectionPublisher(opt.publish).publish(g),
+        out_path);
+  });
+  reference_bytes = read_bytes(out_path);
+  const double sharded_seconds = median_seconds("bench.sharded", [&] {
+    const sgp::graph::EdgeListShardReader sharded_reader(
+        edges_path, sgp::graph::IdPolicy::kPreserve);
+    (void)sgp::core::publish_sharded(sharded_reader, opt, out_path);
+  });
+  const double sharded_over_inmemory = sharded_seconds / inmemory_seconds;
+  sgp::util::TextTable ratio_table({"mode", "seconds", "identical_bytes"});
+  ratio_table.new_row().add("in memory").add(inmemory_seconds, 3).add("yes");
+  ratio_table.new_row()
+      .add("sharded")
+      .add(sharded_seconds, 3)
+      .add(read_bytes(out_path) == reference_bytes ? "yes" : "NO");
+  std::printf("%ssharded_over_inmemory: %.3f\n",
+              ratio_table.to_string().c_str(), sharded_over_inmemory);
+
   report.meta("nodes", static_cast<std::uint64_t>(n))
       .meta("m", static_cast<std::uint64_t>(m))
       .meta("shard_rows", static_cast<std::uint64_t>(meta_shard_rows))
       .meta("peak_rss_mb", peak_rss_mb())
       .meta("threads", static_cast<std::uint64_t>(max_threads))
       .meta("processes", static_cast<std::uint64_t>(max_processes))
+      .meta("sharded_over_inmemory", sharded_over_inmemory)
       // Kernel axis: the variant the shard tiles were generated under (the
       // resolved default unless SGP_FORCE_KERNEL says otherwise); byte
       // identity across threads/processes holds per variant.

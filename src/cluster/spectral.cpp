@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "graph/laplacian.hpp"
 #include "linalg/eigen_sym.hpp"
@@ -21,9 +23,10 @@ namespace {
 
 /// Graceful-degradation ladder for the embedding eigensolve:
 ///   1. Lanczos with the default iteration budget (the fast path);
-///   2. on ConvergenceError, Lanczos again with the full Krylov budget
-///      (max_iterations = n) and a reseeded start vector;
-///   3. on a second failure, the dense symmetric eigensolver — O(n³) but
+///   2. if it throws ConvergenceError or returns unconverged at its budget,
+///      Lanczos again with the full Krylov budget (max_iterations = n) and a
+///      reseeded start vector;
+///   3. if that fails too, the dense symmetric eigensolver — O(n³) but
 ///      unconditionally convergent.
 /// Anything other than a convergence failure propagates unchanged.
 linalg::DenseMatrix embedding_from_matrix(const linalg::CsrMatrix& a,
@@ -40,26 +43,31 @@ linalg::DenseMatrix embedding_from_matrix(const linalg::CsrMatrix& a,
   opt.k = dim;
   opt.seed = seed;
   opt.order = linalg::EigenOrder::kDescending;
-  try {
-    return linalg::lanczos_topk(op, opt).vectors;
-  } catch (const util::ConvergenceError& e) {
-    obs::counter(obs::names::kSpectralLanczosRetries).add();
-    util::LogStream(util::LogLevel::kWarn)
-        .with("n", n)
-        << "spectral: lanczos failed (" << e.what()
-        << "); retrying with max_iterations=" << n;
-  }
-  try {
-    opt.max_iterations = n;
-    opt.seed = seed ^ 0x9e3779b97f4a7c15ULL;
-    return linalg::lanczos_topk(op, opt).vectors;
-  } catch (const util::ConvergenceError& e) {
-    obs::counter(obs::names::kSpectralDenseFallbacks).add();
-    util::LogStream(util::LogLevel::kWarn)
-        .with("n", n)
-        << "spectral: lanczos retry failed (" << e.what()
-        << "); falling back to the dense eigensolver (O(n^3))";
-  }
+  // The vectors of a converged run; otherwise nothing, with `why` set.
+  std::string why;
+  const auto attempt = [&]() -> std::optional<linalg::DenseMatrix> {
+    try {
+      linalg::LanczosResult result = linalg::lanczos_topk(op, opt);
+      if (result.converged) return std::move(result.vectors);
+      why = "not converged after " + std::to_string(result.iterations) +
+            " iterations";
+    } catch (const util::ConvergenceError& e) {
+      why = e.what();
+    }
+    return std::nullopt;
+  };
+  if (auto vectors = attempt()) return std::move(*vectors);
+  obs::counter(obs::names::kSpectralLanczosRetries).add();
+  util::LogStream(util::LogLevel::kWarn).with("n", n)
+      << "spectral: lanczos failed (" << why
+      << "); retrying with max_iterations=" << n;
+  opt.max_iterations = n;
+  opt.seed = seed ^ 0x9e3779b97f4a7c15ULL;
+  if (auto vectors = attempt()) return std::move(*vectors);
+  obs::counter(obs::names::kSpectralDenseFallbacks).add();
+  util::LogStream(util::LogLevel::kWarn).with("n", n)
+      << "spectral: lanczos retry failed (" << why
+      << "); falling back to the dense eigensolver (O(n^3))";
   const linalg::EigenResult full =
       linalg::symmetric_eigen(a.to_dense(), linalg::EigenOrder::kDescending);
   return full.vectors.first_columns(dim);

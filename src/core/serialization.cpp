@@ -1,6 +1,7 @@
 #include "core/serialization.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -94,6 +95,11 @@ PublishedGraph load_published(std::istream& in) {
     if (!(fields >> token >> n >> token >> m) || n == 0 || m == 0) {
       throw util::ParseError("load_published: bad dimensions line");
     }
+    // The publisher projects onto at most n dimensions.
+    if (m > n) {
+      throw util::ParseError("load_published: dim " + std::to_string(m) +
+                             " exceeds nodes " + std::to_string(n));
+    }
     pub.num_nodes = n;
     pub.projection_dim = m;
   }
@@ -106,6 +112,19 @@ PublishedGraph load_published(std::istream& in) {
           token >> pub.calibration.sigma >> token >>
           pub.calibration.sensitivity)) {
       throw util::ParseError("load_published: bad privacy line");
+    }
+    // Values no publisher writes: an analyst must not scale by them.
+    const auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+    if (!positive(pub.params.epsilon)) {
+      throw util::ParseError("load_published: epsilon must be positive");
+    }
+    if (!(pub.params.delta > 0.0 && pub.params.delta < 1.0)) {
+      throw util::ParseError("load_published: delta must lie in (0, 1)");
+    }
+    if (!positive(pub.calibration.sigma) ||
+        !positive(pub.calibration.sensitivity)) {
+      throw util::ParseError(
+          "load_published: sigma and sensitivity must be positive");
     }
   }
   if (!std::getline(in, line)) {

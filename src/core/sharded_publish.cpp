@@ -34,7 +34,7 @@ void compute_shard(const graph::EdgeListShardReader& reader,
   shard_timer.attr("shard", s).attr("rows", r1 - r0);
   const graph::ShardRows shard = util::retry_with_backoff(
       options.io_retry, "shard load",
-      [&] { return reader.load_shard(r0, r1); });
+      [&] { return reader.load_shard(r0, r1, pool); });
   compute_shard_tile(shard, r0, r1, options.publish, calibration, pool, tile);
 }
 

@@ -125,8 +125,8 @@ void compute_shard_tile(const graph::ShardRows& shard, std::size_t row_begin,
                         util::ThreadPool& pool, std::vector<double>& tile);
 
 /// The shard step the coordinator and its workers share: loads shard `s` of
-/// `plan` from `reader` — retried under options.io_retry, since a reload is
-/// a fresh pass over the edge list — and computes its tile with
+/// `plan` from `reader` on `pool` — retried under options.io_retry, since a
+/// reload is a fresh pass over the edge list — and computes its tile with
 /// compute_shard_tile, inside one publish.shard span.
 void compute_shard(const graph::EdgeListShardReader& reader,
                    const ShardedPublishOptions& options,

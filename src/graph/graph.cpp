@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -11,44 +12,95 @@
 namespace sgp::graph {
 
 namespace detail {
+namespace {
 
-CsrRows build_csr_rows(std::span<const Edge> edges, std::size_t row_begin,
-                       std::size_t row_end) {
+/// Below this many edges a CSR is built on the calling thread.
+constexpr std::size_t kParallelCsrEdges = std::size_t{1} << 15;
+
+/// Rows per task when rows are sorted in parallel.
+constexpr std::size_t kSortGrain = 256;
+
+}  // namespace
+
+CsrRows build_csr_rows(std::span<const std::span<const Edge>> parts,
+                       std::size_t row_begin, std::size_t row_end,
+                       util::ThreadPool* pool) {
   const std::size_t rows = row_end - row_begin;
-  const auto in_range = [&](std::uint32_t node) {
-    return node >= row_begin && node < row_end;
+  std::size_t edges = 0;
+  for (const std::span<const Edge> part : parts) edges += part.size();
+  // Block b owns rows [lo, hi) and reads every edge, so blocks write
+  // disjoint rows and need no merge.
+  const std::size_t blocks =
+      pool == nullptr || edges < kParallelCsrEdges
+          ? 1
+          : std::clamp<std::size_t>(rows, 1, pool->size());
+  const auto run = [&](std::size_t n, std::size_t grain,
+                       const std::function<void(std::size_t, std::size_t)>& body) {
+    if (blocks == 1) {
+      body(0, n);
+    } else {
+      util::parallel_for(*pool, 0, n, body, grain);
+    }
   };
+  const auto for_each_entry = [&](std::size_t b, const auto& place) {
+    const std::size_t lo = row_begin + rows * b / blocks;
+    const std::size_t hi = row_begin + rows * (b + 1) / blocks;
+    for (const std::span<const Edge> part : parts) {
+      for (const Edge& e : part) {
+        if (e.u >= lo && e.u < hi) place(e.u - row_begin, e.v);
+        if (e.v >= lo && e.v < hi) place(e.v - row_begin, e.u);
+      }
+    }
+  };
+
   CsrRows out;
-  // Row lengths; the prefix sum turns offsets[r] into the end of row r and
-  // offsets[rows] into the total.
+  // Row lengths, counted into offsets[r + 1]; the prefix sum turns
+  // offsets[r] into the start of row r and offsets[rows] into the total.
   out.offsets.assign(rows + 1, 0);
-  for (const Edge& e : edges) {
-    if (in_range(e.u)) ++out.offsets[e.u - row_begin];
-    if (in_range(e.v)) ++out.offsets[e.v - row_begin];
-  }
+  std::size_t* const offsets = out.offsets.data();
+  run(blocks, 1, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      for_each_entry(b, [offsets](std::size_t r, std::uint32_t) {
+        ++offsets[r + 1];
+      });
+    }
+  });
   std::partial_sum(out.offsets.begin(), out.offsets.end(),
                    out.offsets.begin());
 
-  // Filling each row from its end leaves offsets[r] at the start of row r.
+  // Each row fills in edge order, so a row of an edge list written sorted
+  // (write_edge_list) comes out sorted. Filling moves offsets[r] to the end
+  // of row r; shifting by one restores the starts.
   out.adjacency.resize(out.offsets.back());
-  for (const Edge& e : edges) {
-    if (in_range(e.u)) out.adjacency[--out.offsets[e.u - row_begin]] = e.v;
-    if (in_range(e.v)) out.adjacency[--out.offsets[e.v - row_begin]] = e.u;
-  }
-
-  // Sort and merge each row, closing the gaps duplicates leave behind.
   std::uint32_t* const adj = out.adjacency.data();
+  run(blocks, 1, [&](std::size_t b0, std::size_t b1) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      for_each_entry(b, [offsets, adj](std::size_t r, std::uint32_t neighbor) {
+        adj[offsets[r]++] = neighbor;
+      });
+    }
+  });
+  std::copy_backward(offsets, offsets + rows, offsets + rows + 1);
+  offsets[0] = 0;
+
+  // Sort and merge each row, then close the gaps duplicates leave behind.
+  std::vector<std::uint32_t> merged(rows);
+  run(rows, kSortGrain, [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      std::uint32_t* const first = adj + offsets[r];
+      std::uint32_t* const last = adj + offsets[r + 1];
+      if (!std::is_sorted(first, last)) std::sort(first, last);
+      merged[r] = static_cast<std::uint32_t>(std::unique(first, last) - first);
+    }
+  });
   std::size_t kept = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    std::uint32_t* const first = adj + out.offsets[r];
-    std::uint32_t* last = adj + out.offsets[r + 1];
-    std::sort(first, last);
-    last = std::unique(first, last);
-    out.offsets[r] = kept;
-    if (adj + kept != first) std::copy(first, last, adj + kept);
-    kept += static_cast<std::size_t>(last - first);
+    const std::size_t first = offsets[r];
+    offsets[r] = kept;
+    if (kept != first) std::copy(adj + first, adj + first + merged[r], adj + kept);
+    kept += merged[r];
   }
-  out.offsets[rows] = kept;
+  offsets[rows] = kept;
   out.adjacency.resize(kept);
   out.adjacency.shrink_to_fit();
   return out;
@@ -62,7 +114,11 @@ Graph Graph::from_edges(std::size_t num_nodes, std::span<const Edge> edges) {
                   "from_edges: endpoint out of range");
     util::require(e.u != e.v, "from_edges: self loops are not allowed");
   }
-  detail::CsrRows rows = detail::build_csr_rows(edges, 0, num_nodes);
+  const std::span<const Edge> parts[] = {edges};
+  return from_rows(detail::build_csr_rows(parts, 0, num_nodes, nullptr));
+}
+
+Graph Graph::from_rows(detail::CsrRows rows) {
   Graph g;
   g.offsets_ = std::move(rows.offsets);
   g.adjacency_ = std::move(rows.adjacency);

@@ -14,6 +14,10 @@
 
 namespace sgp::graph {
 
+namespace detail {
+struct CsrRows;
+}  // namespace detail
+
 /// One undirected edge. Orientation is irrelevant; self loops are invalid.
 struct Edge {
   std::uint32_t u;
@@ -30,6 +34,10 @@ class Graph {
   /// Builds from an edge list over nodes {0..n-1}. Self loops are rejected;
   /// duplicate edges (in either orientation) are merged.
   static Graph from_edges(std::size_t num_nodes, std::span<const Edge> edges);
+
+  /// Adopts rows [0, n) built by detail::build_csr_rows (graph/csr_rows.hpp),
+  /// which the edge-list readers call on edges they number themselves.
+  static Graph from_rows(detail::CsrRows rows);
 
   [[nodiscard]] std::size_t num_nodes() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;

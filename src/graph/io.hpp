@@ -1,5 +1,12 @@
 // Edge-list IO in the SNAP text format the paper's datasets ship in:
 // one "u v" pair per line, '#' comment lines ignored.
+//
+// Every reader runs one line parser over byte ranges (graph/edge_ranges.hpp):
+// a stream is one range; a regular file is cut at line starts into at most
+// pool-size ranges of at least 1 MiB, each pread through its own 64 KiB
+// buffer on the pool, and the ranges are merged in file order. Node
+// numbering, every Graph and every error message and line are those of one
+// sequential pass, whatever the cut.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +48,10 @@ struct EdgeScanStats {
   std::size_t declared_nodes = 0; ///< header-declared node count (kPreserve)
 };
 
-/// The streaming core under read_edge_list and the shard loader
-/// (graph/shard_loader.hpp): one pass over `in`, invoking
-/// `on_edge(u_raw, v_raw)` for every accepted edge line, with *identical*
-/// validation and header semantics to read_edge_list — so an out-of-core
+/// One pass over `in` with the line parser under every reader (read_edge_list,
+/// read_edge_list_file and the shard loader, graph/shard_loader.hpp),
+/// invoking `on_edge(u_raw, v_raw)` for every accepted edge line in order,
+/// with *identical* validation and header semantics — so a streaming
 /// consumer sees exactly the edge sequence the in-memory reader would.
 /// Throws util::ParseError on malformed lines and, under kPreserve, on ids
 /// or header node counts above `max_preserved_id`; util::IoError on stream
@@ -60,7 +67,10 @@ EdgeScanStats scan_edge_list(
 Graph read_edge_list(std::istream& in, IdPolicy policy = IdPolicy::kCompact,
                      std::uint64_t max_preserved_id = kDefaultMaxPreservedNodeId);
 
-/// Loads from a file path. Throws util::IoError if unreadable.
+/// Loads from a file path on the global pool: a regular file is read in
+/// ranges, a non-regular one (a pipe) as one stream. The graph is the one
+/// read_edge_list gives for the same bytes. Throws util::IoError if
+/// unreadable, util::ParseError as read_edge_list does.
 Graph read_edge_list_file(const std::string& path,
                           IdPolicy policy = IdPolicy::kCompact,
                           std::uint64_t max_preserved_id = kDefaultMaxPreservedNodeId);

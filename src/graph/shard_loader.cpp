@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <fstream>
 #include <utility>
 
 #include "graph/csr_rows.hpp"
+#include "graph/edge_ranges.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/scoped_timer.hpp"
 #include "util/check.hpp"
@@ -17,38 +17,70 @@
 namespace sgp::graph {
 namespace {
 
-std::ifstream open_or_throw(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    throw util::IoError("shard loader: cannot open edge list file: " + path);
+constexpr char kOpenError[] = "shard loader: cannot open edge list file: ";
+
+/// The fingerprint's multiplier (odd, so every power of it is too).
+constexpr std::uint64_t kFoldMultiplier = 0x9e3779b97f4a7c15ULL;
+
+/// kFoldMultiplier^e mod 2^64.
+std::uint64_t fold_power(std::uint64_t e) {
+  std::uint64_t result = 1;
+  for (std::uint64_t base = kFoldMultiplier; e != 0; e >>= 1) {
+    if ((e & 1) != 0) result *= base;
+    base *= base;
   }
-  return in;
+  return result;
 }
+
+/// What the construction scan keeps of one range.
+struct ScanPart {
+  std::uint64_t fingerprint = 0;  ///< the range's fold, from 0
+  std::uint64_t records = 0;
+  detail::IdTable ids;            ///< kCompact: the range's first-seen ids
+};
 
 }  // namespace
 
 EdgeListShardReader::EdgeListShardReader(std::string path, IdPolicy policy,
                                          std::uint64_t max_preserved_id)
+    : EdgeListShardReader(std::move(path), policy, max_preserved_id,
+                          util::global_pool(), std::nullopt) {}
+
+EdgeListShardReader::EdgeListShardReader(
+    std::string path, IdPolicy policy, std::uint64_t max_preserved_id,
+    util::ThreadPool& pool, std::optional<std::vector<std::uint64_t>> cuts)
     : path_(std::move(path)),
       policy_(policy),
-      max_preserved_id_(max_preserved_id) {
+      max_preserved_id_(max_preserved_id),
+      cuts_(std::move(cuts)) {
   util::fault_point(util::fault_points::kIoRead);
   obs::ScopedTimer timer(obs::names::kIoReadShard);
-  std::ifstream in = open_or_throw(path_);
-  const EdgeScanStats stats = scan_edge_list(
-      in, policy_, max_preserved_id_,
-      [&](std::uint64_t u_raw, std::uint64_t v_raw) {
+  const detail::EdgeFile file(path_, kOpenError);
+  std::vector<ScanPart> parts;
+  const EdgeScanStats stats = file.scan(
+      detail::LineParser(policy_, max_preserved_id_), pool, cuts_, parts,
+      [compact = policy_ == IdPolicy::kCompact](
+          ScanPart& part, std::uint64_t u_raw, std::uint64_t v_raw) {
         // One mix per record; the rotation keeps (u, v) and (v, u) apart.
-        fingerprint_ =
-            util::splitmix64(fingerprint_ ^ u_raw ^ std::rotl(v_raw, 32));
-        if (policy_ == IdPolicy::kCompact) {
-          remap_.emplace(u_raw, static_cast<std::uint32_t>(remap_.size()));
-          remap_.emplace(v_raw, static_cast<std::uint32_t>(remap_.size()));
+        part.fingerprint = part.fingerprint * kFoldMultiplier +
+                           util::splitmix64(u_raw ^ std::rotl(v_raw, 32));
+        ++part.records;
+        if (compact) {
+          part.ids.intern(u_raw);
+          part.ids.intern(v_raw);
         }
       });
+  // The ranges' first-seen ids, in range order, number the nodes in
+  // first-appearance order over the whole file.
+  if (!parts.empty()) ids_ = std::move(parts[0].ids);
+  for (ScanPart& part : parts) {
+    fingerprint_ = fingerprint_ * fold_power(part.records) + part.fingerprint;
+    for (const std::uint64_t raw : part.ids.keys()) ids_.intern(raw);
+    part.ids = detail::IdTable();
+  }
   edge_records_ = stats.edge_records;
   // Mirrors read_edge_list's node-count rule exactly.
-  num_nodes_ = remap_.size();
+  num_nodes_ = ids_.size();
   if (policy_ == IdPolicy::kPreserve) {
     num_nodes_ = stats.edge_records > 0
                      ? static_cast<std::size_t>(stats.max_raw_id) + 1
@@ -59,7 +91,8 @@ EdgeListShardReader::EdgeListShardReader(std::string path, IdPolicy policy,
 }
 
 ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
-                                          std::size_t row_end) const {
+                                          std::size_t row_end,
+                                          util::ThreadPool& pool) const {
   util::require(row_begin <= row_end && row_end <= num_nodes_,
                 "shard loader: row range must lie within [0, num_nodes]");
   util::fault_point(util::fault_points::kIoShardRead);
@@ -68,28 +101,28 @@ ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
 
   const auto resolve = [this](std::uint64_t raw) -> std::uint32_t {
     if (policy_ == IdPolicy::kPreserve) return static_cast<std::uint32_t>(raw);
-    const auto it = remap_.find(raw);
+    const std::uint32_t id = ids_.find(raw);
     // Every id was interned during the construction scan; a miss means the
     // file changed under us.
-    if (it == remap_.end()) {
+    if (id == detail::IdTable::kMissing) {
       throw util::IoError("shard loader: " + path_ +
                           " changed since construction (unknown node id)");
     }
-    return it->second;
+    return id;
   };
 
-  // Every edge with an endpoint in the shard; build_csr_rows then
-  // orders and merges each row exactly as Graph::from_edges does.
-  std::vector<Edge> incident;
-  std::ifstream in = open_or_throw(path_);
-  const EdgeScanStats stats = scan_edge_list(
-      in, policy_, max_preserved_id_,
-      [&](std::uint64_t u_raw, std::uint64_t v_raw) {
+  // Every edge with an endpoint in the shard, per range; build_csr_rows
+  // then orders and merges each row exactly as Graph::from_edges does.
+  const detail::EdgeFile file(path_, kOpenError);
+  std::vector<detail::EdgeChunks> incident;
+  const EdgeScanStats stats = file.scan(
+      detail::LineParser(policy_, max_preserved_id_), pool, cuts_, incident,
+      [&](detail::EdgeChunks& part, std::uint64_t u_raw, std::uint64_t v_raw) {
         const std::uint32_t u = resolve(u_raw);
         const std::uint32_t v = resolve(v_raw);
         if ((u >= row_begin && u < row_end) ||
             (v >= row_begin && v < row_end)) {
-          incident.push_back({u, v});
+          part.push_back({u, v});
         }
       });
   if (stats.edge_records != edge_records_) {
@@ -97,7 +130,10 @@ ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
                         " changed since construction (edge count drifted)");
   }
 
-  detail::CsrRows rows = detail::build_csr_rows(incident, row_begin, row_end);
+  std::vector<std::span<const Edge>> parts;
+  for (const detail::EdgeChunks& part : incident) part.spans(parts);
+  detail::CsrRows rows =
+      detail::build_csr_rows(parts, row_begin, row_end, &pool);
   ShardRows shard;
   shard.row_begin = row_begin;
   shard.row_end = row_end;
@@ -106,4 +142,14 @@ ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
   return shard;
 }
 
+namespace detail {
+
+EdgeListShardReader make_shard_reader(
+    std::string path, IdPolicy policy, std::uint64_t max_preserved_id,
+    util::ThreadPool& pool, std::optional<std::vector<std::uint64_t>> cuts) {
+  return EdgeListShardReader(std::move(path), policy, max_preserved_id, pool,
+                             std::move(cuts));
+}
+
+}  // namespace detail
 }  // namespace sgp::graph

@@ -3,12 +3,47 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "cluster/metrics.hpp"
 #include "graph/generators.hpp"
+#include "graph/laplacian.hpp"
+#include "linalg/lanczos.hpp"
+#include "linalg/vector_ops.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/metrics.hpp"
 
 namespace sgp::cluster {
 namespace {
+
+// A ring lattice's normalized adjacency has eigenvalue 1 above a cluster of
+// pairs closing in on it. At 326 nodes (the smallest that does, for this
+// seed and dim) Lanczos returns unconverged at its default budget of 100
+// iterations; the embedding must retry with the full budget rather than use
+// that answer.
+TEST(SpectralTest, UnconvergedEmbeddingRetriesWithTheFullBudget) {
+  random::Rng rng(1);
+  const graph::Graph ring = graph::watts_strogatz(326, 4, 0.0, rng);
+  obs::set_metrics_enabled(true);
+  obs::Counter& retries = obs::counter(obs::names::kSpectralLanczosRetries);
+  obs::Counter& fallbacks = obs::counter(obs::names::kSpectralDenseFallbacks);
+  const std::uint64_t retries_before = retries.value();
+  const std::uint64_t fallbacks_before = fallbacks.value();
+  const linalg::DenseMatrix embedding =
+      normalized_spectral_embedding(ring, 2, 7);
+  EXPECT_EQ(retries.value() - retries_before, 1u);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 0u);
+  obs::set_metrics_enabled(false);
+
+  // The leading vector is an eigenvector of eigenvalue 1.
+  std::vector<double> v(ring.num_nodes());
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = embedding(i, 0);
+  const std::vector<double> av =
+      graph::normalized_adjacency_matrix(ring).multiply_vector(v);
+  std::vector<double> residual(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) residual[i] = av[i] - v[i];
+  EXPECT_LE(linalg::norm2(residual), linalg::LanczosOptions{}.tolerance);
+}
 
 TEST(SpectralTest, EmbeddingShape) {
   random::Rng rng(1);

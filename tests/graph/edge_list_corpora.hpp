@@ -1,12 +1,22 @@
 // Malformed and hostile edge lists shared by the parser fuzz suite
-// (integration/failure_injection_test.cpp) and the scanner differential test
-// (graph/edge_scanner_differential_test.cpp).
+// (integration/failure_injection_test.cpp), the scanner differential test
+// (graph/edge_scanner_differential_test.cpp) and the shard loader test, plus
+// the generated megabytes the last two cut into ranges.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "random/rng.hpp"
+
 namespace sgp::graph::corpora {
+
+/// The scanner's read size: generated_edge_list puts a line across every
+/// multiple of it.
+inline constexpr std::size_t kScannerBufferBytes = 64 * 1024;
 
 inline std::vector<std::string> garbage_edge_lists() {
   return {"", "\n\n\n", "0", "0 1 2", "a b", "0 a",
@@ -43,6 +53,64 @@ inline std::vector<std::string> hostile_edge_lists() {
 inline std::vector<std::string> signed_id_edge_lists() {
   return {"-1 2\n", "1 -2\n", "1+2\n", "+1 2\n", "-0 3\n", "4 +5\n",
           "0 1\n-18446744073709551615 7\n"};
+}
+
+/// A few MB of every line shape the grammar allows: edge lines with
+/// `\v`/`\f`/tab/CR padding, leading zeros, trailing comments, self loops and
+/// repeats; blank lines; comments; headers; CRLF endings; comment lines of
+/// 64 KiB - 1, 64 KiB, 64 KiB + 1 and about 2.3 × 64 KiB bytes. Every 64 KiB
+/// boundary of the stream falls inside a line, and the last line has no
+/// newline.
+inline std::string generated_edge_list(std::uint64_t seed) {
+  random::Rng rng(seed);
+  const auto pick = [&](const char* chars, std::size_t n) {
+    std::string out;
+    const std::string_view set(chars);
+    for (std::size_t i = 0; i < n; ++i) out += set[rng.next_below(set.size())];
+    return out;
+  };
+  const auto id = [&] {
+    std::string digits = std::to_string(rng.next_below(5000));
+    if (rng.next_below(16) == 0) digits.insert(0, "00");
+    return digits;
+  };
+
+  std::string text;
+  const std::vector<std::size_t> long_comments = {
+      kScannerBufferBytes - 1, kScannerBufferBytes, kScannerBufferBytes + 1, 150'000};
+  std::size_t next_long = 0;
+  while (text.size() < 3'000'000) {
+    std::string line;
+    const std::uint64_t kind = rng.next_below(20);
+    if (kind == 0) {
+      line = "# " + pick("abcdef ghij\t#0123456789", rng.next_below(120));
+    } else if (kind == 1) {
+      line = pick(" \t\r", rng.next_below(5));
+    } else if (kind == 2) {
+      line = "# sgp edge list: " + std::to_string(rng.next_below(9000)) +
+             " nodes, 12 edges";
+    } else if (kind == 3 && next_long < long_comments.size() &&
+               text.size() > (next_long + 1) * 500'000) {
+      const std::size_t length = long_comments[next_long++];
+      line = "#" + std::string(length - 1, 'c');
+    } else {
+      const std::string u = id();
+      const std::string v = kind == 4 ? u : id();  // kind 4: a self loop
+      line = pick(" \t\v\f", rng.next_below(3)) + u +
+             pick(" \t\v\f\r", 1 + rng.next_below(2)) + v +
+             pick(" \t\r", rng.next_below(3));
+      if (kind == 5) line += " # trailing note";
+    }
+    text += line;
+    text += rng.next_below(3) == 0 ? "\r\n" : "\n";
+  }
+  // Push each boundary that would fall between two lines into the line
+  // before it; a space before the newline is trailing whitespace.
+  for (std::size_t b = kScannerBufferBytes; b < text.size(); b += kScannerBufferBytes) {
+    if (text[b - 1] == '\n') text.insert(b - 1, " ");
+  }
+  text += "17 42";  // the last line has no newline
+  return text;
 }
 
 }  // namespace sgp::graph::corpora

@@ -4,25 +4,35 @@
 // message, report the same EdgeScanStats and deliver the same edge
 // sequence. The one permitted difference is a signed id: the reference
 // wraps it, the scanner rejects it.
+//
+// The file path is then cut into ranges at every byte offset of the small
+// corpora, and at planned and forced cuts of the generated megabytes, and
+// read on pools of 1, 2, 3 and 8 threads: every cut and pool must read the
+// reference's graph, counts and fingerprint, or fail with the sequential
+// scanner's message and line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "edge_list_corpora.hpp"
+#include "graph/edge_ranges.hpp"
 #include "graph/io.hpp"
+#include "graph/shard_loader.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
-#include "random/rng.hpp"
 #include "reference_edge_scanner.hpp"
 #include "util/errors.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sgp::graph {
 namespace {
@@ -149,66 +159,8 @@ TEST(ScannerDifferential, SignedIdsAreTheOnlyDifference) {
   }
 }
 
-/// A few MB of every line shape the grammar allows: edge lines with
-/// `\v`/`\f`/tab/CR padding, leading zeros, trailing comments, self loops and
-/// repeats; blank lines; comments; headers; CRLF endings; comment lines of
-/// 64 KiB - 1, 64 KiB, 64 KiB + 1 and about 2.3 × 64 KiB bytes. Every 64 KiB
-/// boundary of the stream falls inside a line, and the last line has no
-/// newline.
-std::string generated_edge_list(std::uint64_t seed) {
-  random::Rng rng(seed);
-  const auto pick = [&](const char* chars, std::size_t n) {
-    std::string out;
-    const std::string_view set(chars);
-    for (std::size_t i = 0; i < n; ++i) out += set[rng.next_below(set.size())];
-    return out;
-  };
-  const auto id = [&] {
-    std::string digits = std::to_string(rng.next_below(5000));
-    if (rng.next_below(16) == 0) digits.insert(0, "00");
-    return digits;
-  };
-
-  std::string text;
-  const std::vector<std::size_t> long_comments = {
-      kBufferBytes - 1, kBufferBytes, kBufferBytes + 1, 150'000};
-  std::size_t next_long = 0;
-  while (text.size() < 3'000'000) {
-    std::string line;
-    const std::uint64_t kind = rng.next_below(20);
-    if (kind == 0) {
-      line = "# " + pick("abcdef ghij\t#0123456789", rng.next_below(120));
-    } else if (kind == 1) {
-      line = pick(" \t\r", rng.next_below(5));
-    } else if (kind == 2) {
-      line = "# sgp edge list: " + std::to_string(rng.next_below(9000)) +
-             " nodes, 12 edges";
-    } else if (kind == 3 && next_long < long_comments.size() &&
-               text.size() > (next_long + 1) * 500'000) {
-      const std::size_t length = long_comments[next_long++];
-      line = "#" + std::string(length - 1, 'c');
-    } else {
-      const std::string u = id();
-      const std::string v = kind == 4 ? u : id();  // kind 4: a self loop
-      line = pick(" \t\v\f", rng.next_below(3)) + u +
-             pick(" \t\v\f\r", 1 + rng.next_below(2)) + v +
-             pick(" \t\r", rng.next_below(3));
-      if (kind == 5) line += " # trailing note";
-    }
-    text += line;
-    text += rng.next_below(3) == 0 ? "\r\n" : "\n";
-  }
-  // Push each boundary that would fall between two lines into the line
-  // before it; a space before the newline is trailing whitespace.
-  for (std::size_t b = kBufferBytes; b < text.size(); b += kBufferBytes) {
-    if (text[b - 1] == '\n') text.insert(b - 1, " ");
-  }
-  text += "17 42";  // the last line has no newline
-  return text;
-}
-
 TEST(ScannerDifferential, GeneratedMegabytesAgreeFromStringAndFile) {
-  const std::string text = generated_edge_list(20261017);
+  const std::string text = corpora::generated_edge_list(20261017);
   ASSERT_GT(text.size(), 40 * kBufferBytes);
   const std::string path = testing::TempDir() + "/sgp_scanner_diff.edges";
   {
@@ -241,7 +193,7 @@ TEST(ScannerDifferential, GeneratedMegabytesAgreeFromStringAndFile) {
 
 TEST(ScannerDifferential, LateErrorReportsTheSameLine) {
   // A malformed line a few MB in, just after a 64 KiB boundary.
-  std::string text = generated_edge_list(7);
+  std::string text = corpora::generated_edge_list(7);
   text.resize(text.rfind('\n', 20 * kBufferBytes) + 1);
   text += "3 4\n12 x 9\n5 6\n";
   for (const IdPolicy policy : {IdPolicy::kCompact, IdPolicy::kPreserve}) {
@@ -251,6 +203,183 @@ TEST(ScannerDifferential, LateErrorReportsTheSameLine) {
               std::string::npos);
     expect_identical(scan_new(text, policy), want);
   }
+}
+
+// --- The file path, cut into ranges (graph/edge_ranges.hpp) ---------------
+
+/// Every cut is read on pools of each of these sizes.
+constexpr std::size_t kPoolSizes[] = {1, 2, 3, 8};
+
+using Cuts = std::optional<std::vector<std::uint64_t>>;
+
+/// `text` in a file of this test process.
+std::string edges_file(const std::string& text) {
+  const std::string path = testing::TempDir() + "/sgp_range_cuts_" +
+                           std::to_string(::getpid()) + ".edges";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  return path;
+}
+
+/// What reading `text` must give: the one-pass reference's graph, counts and
+/// fingerprint, or, when the scanner rejects the text, the sequential
+/// scanner's message (held to the reference by the tests above).
+struct Expected {
+  std::optional<reference::Read> read;
+  std::string error;
+};
+
+Expected expected_read(const std::string& text, IdPolicy policy) {
+  const ScanOutcome sequential = scan_new(text, policy);
+  if (!sequential.accepted) return {std::nullopt, sequential.error};
+  std::istringstream in(text);
+  return {reference::read_edge_list(in, policy, kDefaultMaxPreservedNodeId),
+          ""};
+}
+
+/// read_edge_list_file and the shard reader's scan, on `pool` and cut at
+/// `cuts`, against `want`: the same graph, EdgeScanStats, io counters,
+/// node and record counts and fingerprint, or the same error.
+void expect_file_reads(const std::string& path, IdPolicy policy,
+                       util::ThreadPool& pool, const Cuts& cuts,
+                       const Expected& want) {
+  obs::set_metrics_enabled(true);
+  obs::Counter& lines_read = obs::counter(obs::names::kIoLinesRead);
+  obs::Counter& edges_read = obs::counter(obs::names::kIoEdgesRead);
+  const std::uint64_t lines_before = lines_read.value();
+  const std::uint64_t edges_before = edges_read.value();
+  std::optional<detail::EdgeListRead> got;
+  std::string error;
+  try {
+    got = detail::read_edge_list_file(path, policy, kDefaultMaxPreservedNodeId,
+                                      pool, cuts);
+  } catch (const util::ParseError& e) {
+    error = e.what();
+  }
+  const std::uint64_t lines_counted = lines_read.value() - lines_before;
+  const std::uint64_t edges_counted = edges_read.value() - edges_before;
+  obs::set_metrics_enabled(false);
+
+  if (!want.read) {
+    EXPECT_FALSE(got.has_value());
+    EXPECT_EQ(error, want.error);
+    EXPECT_EQ(lines_counted, 0u);
+    EXPECT_EQ(edges_counted, 0u);
+    try {
+      (void)detail::make_shard_reader(path, policy, kDefaultMaxPreservedNodeId,
+                                      pool, cuts);
+      ADD_FAILURE() << "the shard reader accepted what the scanner rejects";
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), want.error);
+    }
+    return;
+  }
+  ASSERT_TRUE(got.has_value()) << error;
+  ASSERT_EQ(got->graph.num_nodes(), want.read->graph.num_nodes());
+  EXPECT_EQ(got->graph.edges(), want.read->graph.edges());
+  EXPECT_EQ(got->stats.lines, want.read->stats.lines);
+  EXPECT_EQ(got->stats.edge_records, want.read->stats.edge_records);
+  EXPECT_EQ(got->stats.max_raw_id, want.read->stats.max_raw_id);
+  EXPECT_EQ(got->stats.declared_nodes, want.read->stats.declared_nodes);
+  EXPECT_EQ(lines_counted, want.read->stats.lines);
+  EXPECT_EQ(edges_counted, want.read->stats.edge_records);
+
+  const EdgeListShardReader reader = detail::make_shard_reader(
+      path, policy, kDefaultMaxPreservedNodeId, pool, cuts);
+  EXPECT_EQ(reader.num_nodes(), want.read->graph.num_nodes());
+  EXPECT_EQ(reader.edge_records(), want.read->stats.edge_records);
+  EXPECT_EQ(reader.fingerprint(), want.read->fingerprint);
+}
+
+const char* policy_name(IdPolicy policy) {
+  return policy == IdPolicy::kCompact ? "kCompact" : "kPreserve";
+}
+
+class RangeCutDifferential : public testing::TestWithParam<std::string> {};
+
+TEST_P(RangeCutDifferential, EveryCutOnEveryPoolReadsLikeTheReference) {
+  const std::string& text = GetParam();
+  const std::string path = edges_file(text);
+  for (const IdPolicy policy : {IdPolicy::kCompact, IdPolicy::kPreserve}) {
+    SCOPED_TRACE(policy_name(policy));
+    const Expected want = expected_read(text, policy);
+    for (const std::size_t threads : kPoolSizes) {
+      util::ThreadPool pool(threads);
+      SCOPED_TRACE("pool of " + std::to_string(threads));
+      expect_file_reads(path, policy, pool, std::nullopt, want);
+      for (std::uint64_t cut = 0; cut <= text.size(); ++cut) {
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        expect_file_reads(path, policy, pool, Cuts{{cut}}, want);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Garbage, RangeCutDifferential,
+                         testing::ValuesIn(corpora::garbage_edge_lists()));
+INSTANTIATE_TEST_SUITE_P(HostileInputs, RangeCutDifferential,
+                         testing::ValuesIn(corpora::hostile_edge_lists()));
+
+TEST(RangeCutDifferential, TheFirstOfTwoErrorsWinsWhereverTheCutsFall) {
+  // Line 2 has no id and line 4 a third field, so two cuts can put each
+  // error in a range of its own, or both in one.
+  const std::string text = "0 1\nx 2\n3 4\n5 6 7\n8 9\n";
+  const std::string path = edges_file(text);
+  for (const IdPolicy policy : {IdPolicy::kCompact, IdPolicy::kPreserve}) {
+    SCOPED_TRACE(policy_name(policy));
+    const Expected want = expected_read(text, policy);
+    ASSERT_FALSE(want.read.has_value());
+    ASSERT_EQ(want.error, "edge list: line 2: expected a numeric node id");
+    for (const std::size_t threads : kPoolSizes) {
+      util::ThreadPool pool(threads);
+      SCOPED_TRACE("pool of " + std::to_string(threads));
+      for (std::uint64_t first = 0; first <= text.size(); ++first) {
+        for (std::uint64_t second = first; second <= text.size(); ++second) {
+          SCOPED_TRACE("cuts at " + std::to_string(first) + ", " +
+                       std::to_string(second));
+          expect_file_reads(path, policy, pool, Cuts{{first, second}}, want);
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RangeCutDifferential, GeneratedMegabytesReadAlikeOnEveryPool) {
+  const std::string text = corpora::generated_edge_list(20261017);
+  const std::string path = edges_file(text);
+  const std::uint64_t size = text.size();
+  // The planned cuts; eight even ranges; cuts around the first 64 KiB
+  // boundaries (each inside a line); and cuts inside the 150,000-byte
+  // comment line, whose line start the cut probes must chase.
+  std::vector<Cuts> cut_sets = {std::nullopt};
+  std::vector<std::uint64_t> even;
+  for (std::uint64_t r = 1; r < 8; ++r) even.push_back(size * r / 8);
+  cut_sets.emplace_back(even);
+  std::vector<std::uint64_t> boundaries;
+  for (std::uint64_t b = 1; b <= 3; ++b) {
+    const std::uint64_t at = b * kBufferBytes;
+    boundaries.insert(boundaries.end(), {at - 1, at, at + 1});
+  }
+  cut_sets.emplace_back(boundaries);
+  const std::uint64_t long_line = text.find(std::string(149'000, 'c'));
+  ASSERT_NE(long_line, std::string::npos);
+  cut_sets.push_back(Cuts{{long_line, long_line + 70'000}});
+
+  for (const IdPolicy policy : {IdPolicy::kCompact, IdPolicy::kPreserve}) {
+    SCOPED_TRACE(policy_name(policy));
+    const Expected want = expected_read(text, policy);
+    ASSERT_TRUE(want.read.has_value()) << want.error;
+    for (const std::size_t threads : kPoolSizes) {
+      util::ThreadPool pool(threads);
+      SCOPED_TRACE("pool of " + std::to_string(threads));
+      for (std::size_t c = 0; c < cut_sets.size(); ++c) {
+        SCOPED_TRACE("cut set " + std::to_string(c));
+        expect_file_reads(path, policy, pool, cut_sets[c], want);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,17 +4,26 @@
 // input except one: operator>> into uint64_t accepts a sign and wraps the
 // value ("-1" reads 2^64 - 1), which the production scanner now rejects.
 // Unlike scan_edge_list it updates no io.* counters.
+//
+// read_edge_list below is the one-pass reader on top of it that the range
+// readers replaced: a std::unordered_map first-appearance remap and a
+// record-by-record fingerprint fold, the oracle for any cut of a file.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <istream>
 #include <sstream>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "util/errors.hpp"
+#include "util/splitmix.hpp"
 
 namespace sgp::graph::reference {
 
@@ -95,6 +104,44 @@ inline EdgeScanStats scan_edge_list(
   }
   stats.lines = line_no;
   return stats;
+}
+
+/// What the one-pass reader read.
+struct Read {
+  Graph graph;
+  EdgeScanStats stats;
+  std::uint64_t fingerprint = 0;  ///< EdgeListShardReader::fingerprint()
+};
+
+/// The reference scan, numbered under kCompact in first-appearance order by
+/// a std::unordered_map, with EdgeListShardReader's fingerprint folded one
+/// record at a time: fp ← fp·K + splitmix64(u ^ rotl(v, 32)).
+inline Read read_edge_list(std::istream& in, IdPolicy policy,
+                           std::uint64_t max_preserved_id) {
+  constexpr std::uint64_t kFoldMultiplier = 0x9e3779b97f4a7c15ULL;
+  std::unordered_map<std::uint64_t, std::uint32_t> remap;
+  const auto intern = [&](std::uint64_t raw) -> std::uint32_t {
+    if (policy == IdPolicy::kPreserve) return static_cast<std::uint32_t>(raw);
+    return remap.emplace(raw, static_cast<std::uint32_t>(remap.size()))
+        .first->second;
+  };
+  Read out;
+  std::vector<Edge> edges;
+  out.stats = reference::scan_edge_list(
+      in, policy, max_preserved_id, [&](std::uint64_t u, std::uint64_t v) {
+        out.fingerprint = out.fingerprint * kFoldMultiplier +
+                          util::splitmix64(u ^ std::rotl(v, 32));
+        edges.push_back({intern(u), intern(v)});
+      });
+  std::size_t num_nodes = remap.size();
+  if (policy == IdPolicy::kPreserve) {
+    num_nodes = out.stats.edge_records > 0
+                    ? static_cast<std::size_t>(out.stats.max_raw_id) + 1
+                    : 0;
+    num_nodes = std::max(num_nodes, out.stats.declared_nodes);
+  }
+  out.graph = Graph::from_edges(num_nodes, edges);
+  return out;
 }
 
 }  // namespace sgp::graph::reference

@@ -138,6 +138,74 @@ INSTANTIATE_TEST_SUITE_P(
         "sgp-published-graph v2\nnodes 4 dim 2\n"
         "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
         "projection gaussian\nprojection_rng counter-v1\n",  // no data marker
+        // Headers no publisher writes, each over a payload of the size it
+        // declares ('A' bytes, so the literal holds no NUL).
+        // every field impossible
+        "sgp-published-graph v2\nnodes 2 dim 3\n"
+        "epsilon -1 delta 7 sigma -2 sensitivity 0\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAA",
+        // dim above nodes
+        "sgp-published-graph v2\nnodes 2 dim 3\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAA",
+        // negative epsilon
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon -1 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // zero epsilon
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 0 delta 1e-6 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // delta above 1
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 7 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // zero delta
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 0 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // delta of 1
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1 sigma 2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // negative sigma
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma -2 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // zero sigma
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 0 sensitivity 1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // zero sensitivity
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity 0\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
+        // negative sensitivity
+        "sgp-published-graph v2\nnodes 4 dim 2\n"
+        "epsilon 1 delta 1e-6 sigma 2 sensitivity -1\n"
+        "projection gaussian\nprojection_rng counter-v1\ndata\n"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"
+        "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA",
         "sgp-published-graph v2\nnodes 4 dim 2\n"
         "epsilon 1 delta 1e-6 sigma 2 sensitivity 1\n"
         "projection gaussian\nprojection_rng counter-v1\n"

@@ -137,6 +137,23 @@ TEST_F(PublishCliTest, MalformedNumbersAreUsageErrors) {
   EXPECT_TRUE(std::filesystem::exists(release_));
 }
 
+// Zero workers is the in-process coordinator: with a shard height it
+// publishes, and alone it exits 2 instead of publishing in memory.
+TEST_F(PublishCliTest, ZeroWorkersNeedsAShardHeight) {
+  const CliResult alone = publish("--workers 0");
+  EXPECT_EQ(alone.exit_code, 2) << alone.stderr_text;
+  EXPECT_NE(alone.stderr_text.find("--workers 0"), std::string::npos)
+      << alone.stderr_text;
+  EXPECT_FALSE(std::filesystem::exists(release_));
+  EXPECT_FALSE(std::filesystem::exists(release_ + ".ckpt"));
+  for (const char* height : {"--shard-rows 2", "--max-memory-mb 1"}) {
+    const CliResult result = publish(std::string("--workers 0 ") + height);
+    EXPECT_EQ(result.exit_code, 0) << height << ": " << result.stderr_text;
+    EXPECT_TRUE(std::filesystem::exists(release_)) << height;
+    std::filesystem::remove(release_);
+  }
+}
+
 TEST_F(PublishCliTest, ShardedPathStillTakesThem) {
   const CliResult result =
       publish("--shard-rows 2 --threads 2 --no-resume --io-attempts 2");

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Thread-sanitizer job: build with -DSGP_SANITIZE=thread and run the suites
 # labeled `tsan` — the ones exercising the thread pool (nested parallel_for),
-# the fused publish kernel, and the counter-RNG determinism-across-threads
-# tests. Intended for CI and for local use after touching threading code:
+# the fused publish kernel, the counter-RNG determinism-across-threads
+# tests, and the edge-list readers' range scans. Intended for CI and for
+# local use after touching threading code:
 #
 #   tools/run_tsan.sh [build-dir]           # default build dir: build-tsan
 #
@@ -16,5 +17,5 @@ cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSGP_SANITIZE=thread
 cmake --build "${BUILD_DIR}" -j --target util_test linalg_test core_test \
-  kernel_differential_test
+  kernel_differential_test graph_ingest_test
 ctest --test-dir "${BUILD_DIR}" -L tsan --output-on-failure -j "$(nproc)"

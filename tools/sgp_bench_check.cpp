@@ -70,13 +70,14 @@ void check_e7_meta(const std::string& path, const sgp::util::JsonValue& doc) {
 }
 
 // BENCH_E13 records the out-of-core configuration: the shard height the
-// memory claim is made for, the observed peak RSS, and the widest thread
-// and worker-process counts the byte-identity sweeps covered. CI fails on
-// any drift so the scaling docs always have trustworthy numbers to cite.
+// memory claim is made for, the observed peak RSS, the widest thread and
+// worker-process counts the byte-identity sweeps covered, and the sharded
+// publish's time over the in-memory one. CI fails on any drift so the
+// scaling docs always have trustworthy numbers to cite.
 void check_e13_meta(const std::string& path, const sgp::util::JsonValue& doc) {
   const sgp::util::JsonValue* meta = doc.find("meta");
-  for (const char* key :
-       {"nodes", "m", "shard_rows", "peak_rss_mb", "threads", "processes"}) {
+  for (const char* key : {"nodes", "m", "shard_rows", "peak_rss_mb", "threads",
+                          "processes", "sharded_over_inmemory"}) {
     if (meta->find(key) == nullptr) {
       throw sgp::util::ParseError(path + ": E13 meta missing '" +
                                   std::string(key) + "'");
@@ -98,6 +99,11 @@ void check_e13_meta(const std::string& path, const sgp::util::JsonValue& doc) {
   const sgp::util::JsonValue* processes = meta->find("processes");
   if (!processes->is_number() || processes->as_number() < 1.0) {
     throw sgp::util::ParseError(path + ": E13 meta.processes must be >= 1");
+  }
+  const sgp::util::JsonValue* ratio = meta->find("sharded_over_inmemory");
+  if (!ratio->is_number() || !(ratio->as_number() > 0.0)) {
+    throw sgp::util::ParseError(
+        path + ": E13 meta.sharded_over_inmemory must be a positive number");
   }
   // The distributed bench must say which observability schema its
   // per-process metrics are merged under; there is one.

@@ -155,6 +155,12 @@ int main(int argc, char** argv) {
     const std::size_t max_memory_mb = mode_count(args, "max-memory-mb");
     const auto workers_flag =
         static_cast<std::size_t>(args.get_uint64("workers", 0));
+    // Zero workers is the in-process coordinator, which needs a shard height.
+    if (workers_flag == 0 && args.has("workers") && shard_rows_flag == 0 &&
+        max_memory_mb == 0) {
+      throw sgp::util::PreconditionError(
+          "--workers 0 needs --shard-rows or --max-memory-mb");
+    }
     if (shard_rows_flag > 0 || max_memory_mb > 0 || workers_flag > 0) {
       // Out-of-core path: the graph is never materialized — the reader
       // scans the file once for shape, then the shard coordinator streams
