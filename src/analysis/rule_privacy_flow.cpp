@@ -21,6 +21,13 @@
 //       budget split. Mechanism implementations must split budgets through
 //       dp::split_budget / dp::laplace_scale so composition stays auditable
 //       in one layer.
+//
+//   (d) One budget front door: a call of append on a ledger-named object
+//       (`ledger_->append(`, `options.ledger->append(`) fires anywhere but
+//       in Mechanism::charge and the ledger itself (src/core/ledger.*). A
+//       second charging path is where a record and its release can drift
+//       apart — a σ the release does not carry, a charge that never
+//       happens.
 #include <string_view>
 
 #include "analysis/rule_support.hpp"
@@ -144,11 +151,51 @@ void check_privacy_initializers(const SourceFile& file,
   }
 }
 
+bool is_ledger_name(const std::string& name) {
+  return name.find("ledger") != std::string::npos ||
+         name.find("Ledger") != std::string::npos;
+}
+
+/// Whether `def` is the front door, `Mechanism::charge`: its name token sits
+/// just before the parameter list's '('.
+bool is_front_door(const std::vector<Token>& t, const FunctionDef& def) {
+  const std::size_t name = def.params_begin - 2;
+  return name >= 2 && ident(t, name, "charge") && punct(t, name - 1, "::") &&
+         ident(t, name - 2, "Mechanism");
+}
+
+void check_ledger_appends(const SourceFile& file, const FileIndex& index,
+                          std::vector<Finding>& out) {
+  const std::vector<Token>& t = index.tokens;
+  for (std::size_t i = 2; i + 1 < t.size(); ++i) {
+    if (!ident(t, i, "append") || !punct(t, i + 1, "(") ||
+        !(punct(t, i - 1, "->") || punct(t, i - 1, ".")) ||
+        t[i - 2].kind != TokKind::kIdentifier ||
+        !is_ledger_name(t[i - 2].text)) {
+      continue;
+    }
+    const FunctionDef* def = enclosing_function(index, i);
+    if (def != nullptr && is_front_door(t, *def)) continue;
+    out.push_back({"R8", file.path, t[i].line,
+                   t[i - 2].text + t[i - 1].text + "append",
+                   "privacy-flow: '" + t[i - 2].text +
+                       "' is appended to outside Mechanism::charge — a "
+                       "second charging path can record a σ the release "
+                       "does not carry, or skip the charge",
+                   "charge through core::Mechanism::charge (a session uses "
+                   "the projection mechanism's) instead of appending to the "
+                   "ledger directly"});
+  }
+}
+
 }  // namespace
 
 void rule_privacy_flow(const SourceFile& file, const FileIndex& index,
                        std::vector<Finding>& out) {
   if (!has_prefix(file.path, "src/")) return;
+  if (!has_prefix(file.path, "src/core/ledger.")) {
+    check_ledger_appends(file, index, out);
+  }
   if (file.path == "src/core/serialization.cpp" ||
       file.path == "src/core/serialization.hpp") {
     return;

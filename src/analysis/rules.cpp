@@ -380,7 +380,8 @@ const std::vector<RuleInfo>& all_rule_infos() {
       {"R8", "privacy-flow",
        "Publishing encoders are called only from privacy-context-bearing "
        "signatures; ε/δ/σ values originate in dp/ expressions; budget "
-       "splits on privacy values are never hand-rolled outside src/dp/."},
+       "splits on privacy values are never hand-rolled outside src/dp/; "
+       "only Mechanism::charge appends to a ledger."},
       {"R9", "fault-registry",
        "Fault-point name literals must be canonical "
        "(util/fault_point_names.hpp)."},

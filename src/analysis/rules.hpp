@@ -35,7 +35,9 @@
 //                        are initialized from dp/ expressions, not ambient
 //                        arithmetic; and mechanism code never hand-rolls a
 //                        budget split (privacy value × literal) outside
-//                        src/dp/ — use dp::split_budget and friends.
+//                        src/dp/ — use dp::split_budget and friends; and
+//                        only Mechanism::charge (and core/ledger.*) calls
+//                        append on a ledger-named object.
 //   R9 fault-registry    every string literal passed to fault_point() /
 //                        arm_fault() appears in util/fault_point_names.hpp.
 //   R10 span-hygiene     no discarded Span/ScopedTimer temporaries (RAII

@@ -49,13 +49,13 @@ std::string with_crc(const std::string& body) {
 /// from a different run or input is never resumed.
 std::string shard_config_line(const ShardedPublishOptions& options,
                               const graph::EdgeListShardReader& reader,
-                              std::size_t projection_dim,
-                              const NoiseCalibration& calibration,
                               const ShardPlan& plan) {
+  const NoiseCalibration calibration = options.publish.calibration();
   std::ostringstream out;
   out.precision(17);
   out << "config nodes " << reader.num_nodes() << " edges " << std::hex
-      << reader.fingerprint() << std::dec << " dim " << projection_dim
+      << reader.fingerprint() << std::dec << " dim "
+      << options.publish.projection_dim
       << " shard_rows " << plan.shard_rows << " seed "
       << options.publish.seed << " epsilon "
       << options.publish.params.epsilon << " delta "
@@ -152,6 +152,17 @@ std::string shard_record(const ShardPlan& plan, std::size_t s,
   return with_crc(out.str());
 }
 
+std::string shard_log_path(const std::string& out_path) {
+  return out_path + ".ckpt";
+}
+
+/// Whether the log open on `in` starts with the magic line and `config`.
+bool log_begins_with(std::istream& in, const std::string& config) {
+  std::string line;
+  return std::getline(in, line) && line == kLogMagic &&
+         std::getline(in, line) && line == config;
+}
+
 /// Shards a prior run's log at `log_path` vouches for in the release at
 /// `out_path`: the longest prefix of records equal to what this run would
 /// write — a torn tail, a bit flip (CRC mismatch) or a config drift compare
@@ -163,9 +174,8 @@ std::size_t logged_shards(const std::string& log_path,
                           const std::string& header, std::size_t m,
                           const std::string& out_path) {
   std::ifstream in(log_path, std::ios::binary);
+  if (!log_begins_with(in, config)) return 0;
   std::string line;
-  if (!std::getline(in, line) || line != kLogMagic) return 0;
-  if (!std::getline(in, line) || line != config) return 0;
   std::size_t logged = 0;
   while (logged < plan.num_shards() && std::getline(in, line) &&
          line == shard_record(plan, logged, header.size(), m)) {
@@ -243,12 +253,8 @@ DistributedPublishResult publish_distributed(
       options.worker_program.empty() ? 0 : options.workers;
 
   const ShardPlan plan = plan_shards(n, sharded.shard_rows);
-  const NoiseCalibration calibration =
-      calibrate_noise(m, sharded.publish.params,
-                      sharded.publish.analytic_calibration,
-                      sharded.publish.delta_split);
-  const std::string config =
-      shard_config_line(sharded, reader, m, calibration, plan);
+  const NoiseCalibration calibration = sharded.publish.calibration();
+  const std::string config = shard_config_line(sharded, reader, plan);
   const std::string config_crc = util::crc32_hex(config);
 
   // The observability plane: mint the release trace id and open the
@@ -295,7 +301,7 @@ DistributedPublishResult publish_distributed(
 
   // Resume: keep the logged prefix the release still holds, cut the file
   // back to it, and fill on from there.
-  const std::string log_path = out_path + ".ckpt";
+  const std::string log_path = shard_log_path(out_path);
   std::size_t next = 0;  // the first shard not yet in the release
   if (sharded.resume) {
     next = logged_shards(log_path, config, plan, header, m, out_path);
@@ -316,7 +322,6 @@ DistributedPublishResult publish_distributed(
   result.shards_total = plan.num_shards();
   result.shards_resumed = next;
   result.trace_id = trace_id;
-  result.calibration = calibration;
   if (next > 0) {
     obs::counter(obs::names::kPublishShardsResumed).add(next);
     for (std::size_t s = 0; s < next; ++s) {
@@ -630,6 +635,15 @@ DistributedPublishResult publish_distributed(
   return result;
 }
 
+bool shard_log_matches(const graph::EdgeListShardReader& reader,
+                       const ShardedPublishOptions& options,
+                       const std::string& out_path) {
+  const std::string config = shard_config_line(
+      options, reader, plan_shards(reader.num_nodes(), options.shard_rows));
+  std::ifstream in(shard_log_path(out_path), std::ios::binary);
+  return log_begins_with(in, config);
+}
+
 int run_publish_worker(const util::CliArgs& args) {
   const std::string edges_path = args.get_string("edges", "");
   const std::string out_path = args.get_string("out", "");
@@ -650,7 +664,8 @@ int run_publish_worker(const util::CliArgs& args) {
   opt.publish.delta_split =
       args.get_double("delta-split", dp::kDefaultDeltaSplit);
   opt.shard_rows = static_cast<std::size_t>(args.get_uint64("shard-rows", 0));
-  opt.threads = static_cast<std::size_t>(args.get_uint64("threads", 0));
+  opt.threads = static_cast<std::size_t>(
+      args.get_uint64("threads", 0, util::kMaxThreads));
   opt.io_retry.max_attempts =
       static_cast<std::size_t>(args.get_uint64("io-attempts", 1));
 
@@ -658,18 +673,13 @@ int run_publish_worker(const util::CliArgs& args) {
                           ? graph::IdPolicy::kPreserve
                           : graph::IdPolicy::kCompact;
   const graph::EdgeListShardReader reader(edges_path, policy);
-  const std::size_t n = reader.num_nodes();
-  const std::size_t m = opt.publish.projection_dim;
-  const ShardPlan plan = plan_shards(n, opt.shard_rows);
-  const NoiseCalibration calibration =
-      calibrate_noise(m, opt.publish.params, opt.publish.analytic_calibration,
-                      opt.publish.delta_split);
+  const ShardPlan plan = plan_shards(reader.num_nodes(), opt.shard_rows);
+  const NoiseCalibration calibration = opt.publish.calibration();
 
   // Drift guard: the coordinator hands over the CRC of its config record;
   // a worker whose own derivation disagrees would publish different bytes,
   // so it must refuse rather than contribute a payload.
-  const std::string config =
-      shard_config_line(opt, reader, m, calibration, plan);
+  const std::string config = shard_config_line(opt, reader, plan);
   const std::string derived_crc = util::crc32_hex(config);
   const std::string expected_crc = args.get_string("config-crc", "");
   if (expected_crc != derived_crc) {

@@ -63,6 +63,10 @@
 
 namespace sgp::core {
 
+/// The most worker processes `sgp_publish --workers` may ask for. A larger
+/// count is a usage error before the edge list is scanned.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 struct DistributedPublishOptions {
   /// Shard plan, publish knobs, per-worker threads, resume, io retry.
   ShardedPublishOptions sharded;
@@ -114,7 +118,6 @@ struct DistributedPublishResult {
   std::size_t shards_inprocess = 0;
   /// Release-level trace id (empty unless obs_sidecar_prefix was set).
   std::string trace_id;
-  NoiseCalibration calibration;
 };
 
 /// Publishes the graph behind `reader` to `out_path` through the
@@ -128,6 +131,16 @@ struct DistributedPublishResult {
 DistributedPublishResult publish_distributed(
     const graph::EdgeListShardReader& reader,
     const DistributedPublishOptions& options, const std::string& out_path);
+
+/// Whether the shard log next to `out_path` belongs to this publication:
+/// its config record is the one publish_distributed would write for
+/// `options` over `reader` — the same edge-list fingerprint, seed, m,
+/// budget, σ and shard height. A ledger-charged rerun finishes the last
+/// charged release only then; a log any other run left is no proof that
+/// the release was paid for.
+[[nodiscard]] bool shard_log_matches(const graph::EdgeListShardReader& reader,
+                                     const ShardedPublishOptions& options,
+                                     const std::string& out_path);
 
 /// Entry point for the hidden `--worker` mode of sgp_publish: recomputes
 /// options from flags, validates --config-crc against its own derivation

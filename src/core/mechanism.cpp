@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "graph/graph.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "linalg/eigen_sym.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
@@ -276,10 +278,9 @@ class ProjectionMechanism final : public Mechanism {
   }
 
  protected:
-  [[nodiscard]] BudgetLedger::Record charge(
+  [[nodiscard]] BudgetLedger::Record ledger_record(
       const MechanismOptions& options) const override {
-    const NoiseCalibration calibration =
-        calibrate_noise(options.projection_dim, options.params);
+    const NoiseCalibration calibration = options.calibration();
     BudgetLedger::Record record;
     record.epsilon = options.params.epsilon;
     record.delta = options.params.delta;
@@ -288,22 +289,17 @@ class ProjectionMechanism final : public Mechanism {
     return record;
   }
 
-  void account(const MechanismOptions& options,
+  void account(const MechanismOptions& /*options*/,
+               const BudgetLedger::Record& record,
                dp::RdpAccountant& accountant) const override {
-    const BudgetLedger::Record record = charge(options);
     accountant.record_gaussian(record.sigma / record.sensitivity);
   }
 
   [[nodiscard]] MechanismRelease build(
       const graph::Graph& g, const MechanismOptions& options) const override {
-    RandomProjectionPublisher::Options popt;
-    popt.projection_dim = options.projection_dim;
-    popt.params = options.params;
-    popt.seed = options.seed;
-    const RandomProjectionPublisher publisher(popt);
     MechanismRelease release;
     release.num_nodes = g.num_nodes();
-    release.matrix = publisher.publish(g);
+    release.matrix = RandomProjectionPublisher(options).publish(g);
     return release;
   }
 };
@@ -315,7 +311,7 @@ class PrivGraphMechanism final : public Mechanism {
   }
 
  protected:
-  [[nodiscard]] BudgetLedger::Record charge(
+  [[nodiscard]] BudgetLedger::Record ledger_record(
       const MechanismOptions& options) const override {
     const dp::BudgetSplit split =
         dp::split_budget(options.params, options.partition_share);
@@ -329,8 +325,8 @@ class PrivGraphMechanism final : public Mechanism {
   }
 
   void account(const MechanismOptions& options,
+               const BudgetLedger::Record& record,
                dp::RdpAccountant& accountant) const override {
-    const BudgetLedger::Record record = charge(options);
     account_community(options, record.sensitivity, record.sigma, accountant);
   }
 
@@ -338,7 +334,7 @@ class PrivGraphMechanism final : public Mechanism {
       const graph::Graph& g, const MechanismOptions& options) const override {
     const dp::BudgetSplit split =
         dp::split_budget(options.params, options.partition_share);
-    const BudgetLedger::Record record = charge(options);
+    const BudgetLedger::Record record = ledger_record(options);
     return build_community_release(g, record.sensitivity, split.partition,
                                    record.sigma, options);
   }
@@ -351,7 +347,7 @@ class NodeCommunityMechanism final : public Mechanism {
   }
 
  protected:
-  [[nodiscard]] BudgetLedger::Record charge(
+  [[nodiscard]] BudgetLedger::Record ledger_record(
       const MechanismOptions& options) const override {
     util::require(options.max_degree > 0,
                   "node-community: max_degree must be > 0");
@@ -368,8 +364,8 @@ class NodeCommunityMechanism final : public Mechanism {
   }
 
   void account(const MechanismOptions& options,
+               const BudgetLedger::Record& record,
                dp::RdpAccountant& accountant) const override {
-    const BudgetLedger::Record record = charge(options);
     account_community(options, record.sensitivity, record.sigma, accountant);
   }
 
@@ -377,7 +373,7 @@ class NodeCommunityMechanism final : public Mechanism {
       const graph::Graph& g, const MechanismOptions& options) const override {
     const dp::BudgetSplit split =
         dp::split_budget(options.params, options.partition_share);
-    const BudgetLedger::Record record = charge(options);
+    const BudgetLedger::Record record = ledger_record(options);
     // On the D-capped graph one node rewrites at most max_degree edges, so
     // every released count carries the full ℓ1-sensitivity D.
     const graph::Graph capped = clamp_degrees(g, options.max_degree);
@@ -441,22 +437,35 @@ bool MechanismRelease::validate() const {
   return true;
 }
 
-MechanismRelease Mechanism::publish(const graph::Graph& g,
-                                    const MechanismOptions& options) const {
+BudgetLedger::Record Mechanism::charge(const MechanismOptions& options) const {
   options.params.validate();
-  obs::ScopedTimer timer(obs::names::kMechanismPublish);
-
-  // Write-ahead: the budget is durably recorded before any artifact exists,
-  // the same discipline as the session layer (docs/robustness.md).
-  BudgetLedger::Record record = charge(options);
+  // Times the write-ahead charge and scopes its ledger.charge event (R10).
+  obs::ScopedTimer timer(obs::names::kMechanismCharge);
+  BudgetLedger::Record record = ledger_record(options);
   if (options.ledger != nullptr) {
     record.index = options.ledger->size() + 1;
     options.ledger->append(record);
+    char eps[32];
+    char delta[32];
+    std::snprintf(eps, sizeof(eps), "%g", record.epsilon);
+    std::snprintf(delta, sizeof(delta), "%g", record.delta);
+    obs::log_event(obs::names::kEventLedgerCharge,
+                   {{"release", std::to_string(record.index)},
+                    {"epsilon", eps},
+                    {"delta", delta}});
   }
   if (options.accountant != nullptr) {
-    account(options, *options.accountant);
+    account(options, record, *options.accountant);
   }
+  return record;
+}
 
+MechanismRelease Mechanism::publish(const graph::Graph& g,
+                                    const MechanismOptions& options) const {
+  obs::ScopedTimer timer(obs::names::kMechanismPublish);
+  // Write-ahead: the budget is durably recorded before any artifact exists
+  // (docs/robustness.md).
+  charge(options);
   MechanismRelease release = build(g, options);
   release.kind = kind();
   release.charged = options.params;

@@ -10,12 +10,11 @@
 // treat "which mechanism" as just another grid axis.
 //
 // Budget discipline is enforced by the base class, not by each
-// implementation: `Mechanism::publish` validates the budget, charges the
-// write-ahead ledger and the RDP accountant exactly once (before any
-// artifact exists — the same discipline as core/session.hpp), then asks the
-// implementation to build the release. All ε/δ splitting happens through
-// dp/budget.hpp; hand-rolled budget arithmetic in a mechanism body is an
-// sgp-lint R8 violation.
+// implementation: `Mechanism::charge` is the one code in src/ that appends
+// to a BudgetLedger (sgp-lint R8). `publish` is charge, then build, and
+// PublishingSession (core/session.hpp) charges through the projection
+// mechanism's charge. All ε/δ splitting happens through dp/budget.hpp;
+// hand-rolled budget arithmetic in a mechanism body is an R8 violation.
 //
 // Determinism contract: every implementation is a pure function of
 // (graph, options) — noise and resampling draw from counter/seeded streams
@@ -23,7 +22,6 @@
 // regardless of thread count or call order.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,18 +58,16 @@ enum class MechanismKind {
 /// All registered mechanism names, in registry order.
 [[nodiscard]] const std::vector<std::string>& known_mechanism_names();
 
-struct MechanismOptions {
-  dp::PrivacyParams params{};  ///< total budget for this release
-  std::uint64_t seed = 7;      ///< root of every derived noise stream
-  /// kProjection: the projection dimension m.
-  std::size_t projection_dim = 64;
+/// The publisher's options (budget, seed, m, calibration, kernel), so a
+/// projection charge records the σ its release is published with.
+struct MechanismOptions : RandomProjectionPublisher::Options {
   /// Community mechanisms: share of ε/δ spent on the partition phase; the
   /// remainder buys the Laplace noise on the edge-count profile.
   double partition_share = dp::kDefaultPartitionShare;
   /// kNodeCommunity: degree cap D of the node-DP neighboring relation.
   std::size_t max_degree = 16;
   /// When set, the release is charged here write-ahead (exactly one record
-  /// per publish, appended before the artifact is built).
+  /// per charge, appended before the artifact is built).
   BudgetLedger* ledger = nullptr;
   /// When set, the release's RDP curve is accumulated here.
   dp::RdpAccountant* accountant = nullptr;
@@ -100,20 +96,26 @@ class Mechanism {
 
   [[nodiscard]] virtual MechanismKind kind() const = 0;
 
-  /// Publishes `g` under options.params. Template method: validates the
-  /// budget, appends one ledger record and one accountant entry (write-ahead
-  /// — before any artifact is built), then delegates to the implementation.
+  /// The write-ahead step: validates options.params, appends this
+  /// mechanism's record to options.ledger (logging ledger.charge) and feeds
+  /// options.accountant. A throw (bad budget, failed append) charges nothing.
+  BudgetLedger::Record charge(const MechanismOptions& options) const;
+
+  /// Publishes `g`: charge, then build. A build that throws after the
+  /// charge leaves the budget spent — an over-count, the safe direction.
   [[nodiscard]] MechanismRelease publish(const graph::Graph& g,
                                          const MechanismOptions& options) const;
 
  protected:
-  /// The ledger record this release will charge (index filled in by the base
-  /// class): ε/δ plus the noise scale and sensitivity actually used.
-  [[nodiscard]] virtual BudgetLedger::Record charge(
+  /// The ledger record this release will charge (index filled in by
+  /// charge): ε/δ plus the noise scale and sensitivity actually used.
+  [[nodiscard]] virtual BudgetLedger::Record ledger_record(
       const MechanismOptions& options) const = 0;
 
-  /// Accumulates this release's RDP curve into `accountant`.
+  /// Accumulates the RDP curve of the release `record` charges into
+  /// `accountant`.
   virtual void account(const MechanismOptions& options,
+                       const BudgetLedger::Record& record,
                        dp::RdpAccountant& accountant) const = 0;
 
   /// Builds the release artifact; the budget is already charged.

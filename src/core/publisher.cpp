@@ -48,6 +48,11 @@ ProjectionRngKind projection_rng_for(ProjectionKind projection,
   return ProjectionRngKind::kCounterV1;
 }
 
+NoiseCalibration RandomProjectionPublisher::Options::calibration() const {
+  return calibrate_noise(projection_dim, params, analytic_calibration,
+                         delta_split);
+}
+
 RandomProjectionPublisher::RandomProjectionPublisher(Options options)
     : options_(std::move(options)) {
   util::require(options_.projection_dim >= 1,
@@ -86,9 +91,7 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
   // per-entry change bound: a symmetric pair (i, j) moves row i by
   // ±max_entry_change·P_j and row j by ±max_entry_change·P_i.
   PublishedGraph out;
-  out.calibration =
-      calibrate_noise(m, options_.params, options_.analytic_calibration,
-                      options_.delta_split);
+  out.calibration = options_.calibration();
   out.calibration.sensitivity *= max_entry_change;
   out.calibration.sigma *= max_entry_change;
 

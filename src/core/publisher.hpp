@@ -98,6 +98,10 @@ class RandomProjectionPublisher {
     /// vector variant publishes gaussian releases under the
     /// "counter-v1-simd" tag. See random/kernel_variant.hpp.
     random::KernelVariant kernel = random::KernelVariant::kAuto;
+
+    /// σ and sensitivity under these options (core/theory.hpp): the one
+    /// calibration every publish path, session and ledger record shares.
+    [[nodiscard]] NoiseCalibration calibration() const;
   };
 
   explicit RandomProjectionPublisher(Options options);

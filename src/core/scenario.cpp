@@ -284,6 +284,7 @@ MechanismOptions cell_options(const ScenarioCell& cell) {
   MechanismOptions options;
   options.params = cell.budget;
   options.seed = cell.seed;
+  options.projection_dim = kScenarioProjectionDim;
   return options;
 }
 

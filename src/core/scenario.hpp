@@ -161,6 +161,7 @@ enum class TaskKind { kCluster, kRank, kDegree, kConductance };
 /// Node count of the standard scenario graphs — small enough for the tier-1
 /// grid to stay fast, large enough for Louvain to resolve communities.
 inline constexpr std::size_t kScenarioNodes = 240;
+inline constexpr std::size_t kScenarioProjectionDim = 64;  ///< m of the grid
 /// Base seed every cell seed is derived from.
 inline constexpr std::uint64_t kScenarioBaseSeed = 20260809;
 
@@ -185,8 +186,8 @@ struct ScenarioCell {
     GeneratorKind kind, std::uint64_t seed,
     std::size_t num_nodes = kScenarioNodes);
 
-/// MechanismOptions for a cell (budget + seed filled in; ledger/accountant
-/// left for the caller to attach).
+/// MechanismOptions for a cell (budget, seed and kScenarioProjectionDim
+/// filled in; ledger/accountant left for the caller to attach).
 [[nodiscard]] MechanismOptions cell_options(const ScenarioCell& cell);
 
 /// Scores `release` on `task` against the original graph. Deterministic in

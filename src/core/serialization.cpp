@@ -196,8 +196,7 @@ void publish_to_stream(const graph::Graph& g,
   RandomProjectionPublisher::Options resolved = options;
   resolved.kernel = random::resolve_normal_kernel(options.kernel);
 
-  const NoiseCalibration calibration = calibrate_noise(
-      m, options.params, options.analytic_calibration, options.delta_split);
+  const NoiseCalibration calibration = options.calibration();
   write_published_header(out, n, m, options.params, calibration,
                          options.projection,
                          projection_rng_for(options.projection,

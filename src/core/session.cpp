@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
-#include "core/theory.hpp"
-#include "obs/event_log.hpp"
+#include "core/mechanism.hpp"
+#include "dp/rdp_accountant.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
@@ -33,6 +32,7 @@ PublishingSession::PublishingSession(Options options)
   per_release.validate();
   util::require(per_release.epsilon <= options_.total_budget.epsilon,
                 "session: per-release epsilon exceeds the total budget");
+  calibration_ = options_.publisher.calibration();
 }
 
 PublishingSession::PublishingSession(Options options,
@@ -40,9 +40,6 @@ PublishingSession::PublishingSession(Options options,
     : PublishingSession(std::move(options)) {
   ledger_ = std::make_unique<BudgetLedger>(ledger_path);
   const auto& per = options_.publisher.params;
-  const NoiseCalibration cal = calibrate_noise(
-      options_.publisher.projection_dim, per,
-      options_.publisher.analytic_calibration, options_.publisher.delta_split);
   for (const BudgetLedger::Record& r : ledger_->records()) {
     if (!close(r.epsilon, per.epsilon) || !close(r.delta, per.delta)) {
       throw util::LedgerCorruptError(
@@ -51,9 +48,6 @@ PublishingSession::PublishingSession(Options options,
           " was written under different per-release parameters than this "
           "session is configured with — refusing to recover");
     }
-    basic_.record({r.epsilon, r.delta});
-    rdp_.record_gaussian(r.sigma / r.sensitivity);
-    delta_projection_sum_ += cal.delta_projection;
   }
   releases_ = ledger_->size();
 }
@@ -68,15 +62,12 @@ dp::PrivacyParams PublishingSession::spent_after(std::size_t releases) const {
   // Path 2: RDP of the Gaussian part. Each release is a Gaussian mechanism
   // with noise multiplier σ/Δ, plus δ_projection from the sensitivity bound.
   // Convert at whatever δ headroom remains after the projection failures.
-  const NoiseCalibration cal = calibrate_noise(
-      options_.publisher.projection_dim, per,
-      options_.publisher.analytic_calibration, options_.publisher.delta_split);
   const double delta_proj_total =
-      cal.delta_projection * static_cast<double>(releases);
+      calibration_.delta_projection * static_cast<double>(releases);
   double rdp_eps = basic_eps;
   if (delta_proj_total < options_.total_budget.delta) {
     dp::RdpAccountant rdp;
-    const double multiplier = cal.sigma / cal.sensitivity;
+    const double multiplier = calibration_.sigma / calibration_.sensitivity;
     for (std::size_t i = 0; i < releases; ++i) rdp.record_gaussian(multiplier);
     rdp_eps =
         rdp.to_dp(options_.total_budget.delta - delta_proj_total).epsilon;
@@ -96,8 +87,7 @@ RandomProjectionPublisher::Options PublishingSession::release_options(
 }
 
 RandomProjectionPublisher::Options PublishingSession::begin_release() {
-  // Times the admission + write-ahead charge, and scopes the ledger-charge
-  // event below (R10: log_event only fires under an active span).
+  // Times the cap check and the charge.
   obs::ScopedTimer timer(obs::names::kSessionBeginRelease);
   const auto projected = spent_after(releases_ + 1);
   if (projected.epsilon > options_.total_budget.epsilon) {
@@ -108,31 +98,14 @@ RandomProjectionPublisher::Options PublishingSession::begin_release() {
         ")");
   }
 
-  // Write-ahead accounting: persist the charge (and charge in memory)
-  // BEFORE computing the artifact. If the process dies — or the publisher
-  // throws — after this point, the budget reads as spent even though no
-  // artifact went out: an over-count, which is the safe direction. The
-  // reverse order could hand out an unaccounted release.
-  const auto& per = options_.publisher.params;
-  const NoiseCalibration cal = calibrate_noise(
-      options_.publisher.projection_dim, per,
-      options_.publisher.analytic_calibration, options_.publisher.delta_split);
-  if (ledger_ != nullptr) {
-    ledger_->append({static_cast<std::uint64_t>(releases_ + 1), per.epsilon,
-                     per.delta, cal.sigma, cal.sensitivity});
-    char eps[32];
-    char delta[32];
-    std::snprintf(eps, sizeof(eps), "%g", per.epsilon);
-    std::snprintf(delta, sizeof(delta), "%g", per.delta);
-    obs::log_event(obs::names::kEventLedgerCharge,
-                   {{"release", std::to_string(releases_ + 1)},
-                    {"epsilon", eps},
-                    {"delta", delta}});
-  }
+  // Write-ahead: the charge is persisted BEFORE the artifact is computed,
+  // so a process that dies — or a publisher that throws — after this point
+  // leaves the budget spent with no artifact out: an over-count, the safe
+  // direction. A failed append throws here and charges nothing.
+  MechanismOptions charge{options_.publisher};
+  charge.ledger = ledger_.get();
+  make_mechanism(MechanismKind::kProjection)->charge(charge);
   ++releases_;
-  basic_.record(per);
-  rdp_.record_gaussian(cal.sigma / cal.sensitivity);
-  delta_projection_sum_ += cal.delta_projection;
 
   static obs::Counter& publishes = obs::counter(obs::names::kSessionPublishes);
   publishes.add();

@@ -2,17 +2,16 @@
 //
 // A provider re-publishing an evolving graph (weekly snapshots, A/B cohorts)
 // must stop before the cumulative privacy loss exceeds policy. The session
-// wraps the publisher with two accountants — classic composition and Rényi
-// (tighter for many Gaussian releases) — charges each release against a
-// total (ε, δ) cap, and refuses to publish past it.
+// checks each release against a total (ε, δ) cap — spent is the tighter of
+// classic composition and Rényi DP, from the release count and the one
+// calibration — and charges it through Mechanism::charge (core/mechanism.hpp).
 //
-// A session can optionally be backed by a crash-safe BudgetLedger
-// (core/ledger.hpp): every release is then durably recorded *before* the
-// artifact is returned, and a session re-constructed from the same ledger
-// path after a crash recovers the spent budget. A crash can therefore only
-// ever over-count spent ε (a recorded release whose artifact was never
-// delivered) — never under-count it, which is the failure that would void
-// the (ε, δ) guarantee.
+// Backed by a crash-safe BudgetLedger (core/ledger.hpp), every release is
+// durably recorded *before* the artifact is returned, and a session
+// re-constructed from the same ledger path after a crash recovers the spent
+// budget. A crash can therefore only ever over-count spent ε (a recorded
+// release whose artifact was never delivered) — never under-count it, which
+// is the failure that would void the (ε, δ) guarantee.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +20,7 @@
 
 #include "core/ledger.hpp"
 #include "core/publisher.hpp"
-#include "dp/accountant.hpp"
-#include "dp/rdp_accountant.hpp"
+#include "dp/accountant.hpp"  // IWYU pragma: export
 
 namespace sgp::core {
 
@@ -50,11 +48,12 @@ class PublishingSession {
   /// append likewise means nothing was published or charged.
   PublishedGraph publish(const graph::Graph& g);
 
-  /// Charges the next release (write-ahead into the ledger when attached)
-  /// and returns its per-release publisher options, seed already mixed with
-  /// the release index. For callers that produce the artifact out of
-  /// process — e.g. publish_sharded (core/sharded_publish.hpp) — instead of
-  /// through publish(). A crash after this call leaves the budget charged
+  /// Checks the cap, charges the next release through Mechanism::charge
+  /// (write-ahead into the ledger when attached) and returns its per-release
+  /// publisher options, seed already mixed with the release index. For
+  /// callers that produce the artifact out of process — e.g.
+  /// publish_sharded (core/sharded_publish.hpp) — instead of through
+  /// publish(). A crash after this call leaves the budget charged
   /// with no artifact delivered: an over-count, the safe direction.
   /// Throws like publish() (budget refusal charges nothing).
   RandomProjectionPublisher::Options begin_release();
@@ -84,9 +83,7 @@ class PublishingSession {
   [[nodiscard]] dp::PrivacyParams spent_after(std::size_t releases) const;
 
   Options options_;
-  dp::PrivacyAccountant basic_;
-  dp::RdpAccountant rdp_;
-  double delta_projection_sum_ = 0.0;
+  NoiseCalibration calibration_;  ///< options_.publisher.calibration()
   std::size_t releases_ = 0;
   std::unique_ptr<BudgetLedger> ledger_;
 };

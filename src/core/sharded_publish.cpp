@@ -66,7 +66,6 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
   result.num_nodes = done.num_nodes;
   result.shards_total = done.shards_total;
   result.shards_resumed = done.shards_resumed;
-  result.calibration = done.calibration;
   return result;
 }
 

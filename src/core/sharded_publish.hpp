@@ -97,7 +97,6 @@ struct ShardedPublishResult {
   std::size_t shards_total = 0;
   /// Shards skipped because a matching shard log proved them complete.
   std::size_t shards_resumed = 0;
-  NoiseCalibration calibration;
 };
 
 /// Publishes the graph behind `reader` to `out_path` shard by shard: the

@@ -109,6 +109,7 @@ inline constexpr std::string_view kIoSaveRelease = "io.save_release";
 inline constexpr std::string_view kIoWriteEdges = "io.write_edges";
 inline constexpr std::string_view kKmeans = "kmeans";
 inline constexpr std::string_view kLanczos = "lanczos";
+inline constexpr std::string_view kMechanismCharge = "mechanism.charge";
 inline constexpr std::string_view kMechanismPartition = "mechanism.partition";
 inline constexpr std::string_view kMechanismPerturb = "mechanism.perturb";
 inline constexpr std::string_view kMechanismPublish = "mechanism.publish";
@@ -166,6 +167,7 @@ inline constexpr std::string_view kAllNames[] = {
     kLedgerRecoveredRecords,
     kLedgerRecoveries,
     kLinalgFusedTiles,
+    kMechanismCharge,
     kMechanismCommunities,
     kMechanismPartition,
     kMechanismPerturb,

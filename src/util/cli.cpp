@@ -95,6 +95,17 @@ std::uint64_t CliArgs::get_uint64(const std::string& key,
                           it->second + "'");
 }
 
+std::uint64_t CliArgs::get_uint64(const std::string& key, std::uint64_t def,
+                                  std::uint64_t max) const {
+  const std::uint64_t value = get_uint64(key, def);
+  if (value > max) {
+    throw PreconditionError("flag --" + key + " must be at most " +
+                            std::to_string(max) + ", got " +
+                            std::to_string(value));
+  }
+  return value;
+}
+
 double CliArgs::get_double(const std::string& key, double def) const {
   read_.insert(key);
   const auto it = flags_.find(key);

@@ -31,6 +31,11 @@ class CliArgs {
   /// "18446744073709551615" parses, "-1" is malformed.
   [[nodiscard]] std::uint64_t get_uint64(const std::string& key,
                                          std::uint64_t def) const;
+  /// The same, bounded: a value above `max` is malformed too, so a count
+  /// flag is refused before the threads or processes it asks for start.
+  [[nodiscard]] std::uint64_t get_uint64(const std::string& key,
+                                         std::uint64_t def,
+                                         std::uint64_t max) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 

@@ -14,6 +14,10 @@
 
 namespace sgp::util {
 
+/// The most threads a --threads flag may ask one pool for. A larger count
+/// is a usage error where the flag is read, before any thread starts.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// A simple RAII thread pool. Tasks are `std::function<void()>`; submit()
 /// returns a future for completion/exception propagation. Destruction joins
 /// all workers after draining the queue.

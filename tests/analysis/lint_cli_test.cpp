@@ -94,4 +94,15 @@ TEST(LintCliTest, UnreadFlagExitsUsageError) {
       << result.stderr_text;
 }
 
+// --threads used to start as many threads as it was given. One past the
+// bound (util::kMaxThreads) exits 2 and names the bound before any starts.
+TEST(LintCliTest, ThreadsAboveTheBoundExitUsageError) {
+  const CliResult result = run_lint_cli(
+      "--root " SGP_LINT_FIXTURE_DIR " --no-baseline --threads 1025");
+  EXPECT_EQ(result.exit_code, 2) << result.stderr_text;
+  EXPECT_NE(result.stderr_text.find("--threads must be at most 1024"),
+            std::string::npos)
+      << result.stderr_text;
+}
+
 }  // namespace

@@ -33,3 +33,17 @@ double propagate(const dp::PrivacyParams& params) {
 }
 
 }  // namespace sgp::core
+
+namespace sgp::core {
+
+// Clause (d) silent: the one front door appends to the ledger.
+BudgetLedger::Record Mechanism::charge(const MechanismOptions& options) const {
+  BudgetLedger::Record record = ledger_record(options);
+  if (options.ledger != nullptr) {
+    record.index = options.ledger->size() + 1;
+    options.ledger->append(record);
+  }
+  return record;
+}
+
+}  // namespace sgp::core

@@ -25,3 +25,13 @@ double split_by_hand(double epsilon) {
 }
 
 }  // namespace sgp::core
+
+namespace sgp::core {
+
+// Clause (d): a second budget front door — a session appending its own
+// record instead of charging through Mechanism::charge.
+void PublishingSession::charge_directly(const BudgetLedger::Record& record) {
+  ledger_->append(record);
+}
+
+}  // namespace sgp::core

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "core/ledger.hpp"
+#include "core/serialization.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -127,7 +130,11 @@ TEST_F(PublishCliTest, MalformedNumbersAreUsageErrors) {
         "--shard-rows 100 --threads -3", "--workers -1", "--shard-rows 0",
         "--max-memory-mb 0", "--shard-rows 2 --io-attempts 0",
         "--kernel foo", "--projection foo",
-        "--projection achliptas", "--trace 2", "--trace foo"}) {
+        "--projection achliptas", "--trace 2", "--trace foo",
+        // One past each bound (util::kMaxThreads, core::kMaxWorkers): the
+        // flag used to start that many threads or worker processes.
+        "--shard-rows 100 --threads 1025", "--workers 257",
+        "--worker --threads 1025"}) {
     const CliResult result = publish(flags);
     EXPECT_EQ(result.exit_code, 2) << flags << ": " << result.stderr_text;
     EXPECT_FALSE(std::filesystem::exists(release_)) << flags;
@@ -208,6 +215,138 @@ TEST_F(PublishCliTest, StreamingWithLedgerIsRejectedBeforeCharging) {
   EXPECT_FALSE(std::filesystem::exists(release_));
   EXPECT_FALSE(std::filesystem::exists(ledger));
   std::filesystem::remove(ledger);
+}
+
+/// The ledger at `path` as it reads back from disk.
+std::vector<sgp::core::BudgetLedger::Record> ledger_records(
+    const std::string& path) {
+  return sgp::core::BudgetLedger(path).records();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// A shard log another run left is no proof that the last charged release
+// is unfinished. A rerun used to finish release 1 whenever <out>.ckpt
+// existed: here g2 (g1 without its last edge) went out under release 1's
+// seed with no second record, and a.bin and c.bin differed only in the two
+// rows of the removed edge, so the noise cancelled and the edge showed.
+TEST_F(PublishCliTest, StaleShardLogGetsAChargeOfItsOwn) {
+  const std::string g1 = temp_path("sgp_stale_g1.txt");
+  const std::string g2 = temp_path("sgp_stale_g2.txt");
+  const std::string a = temp_path("sgp_stale_a.bin");
+  const std::string c = temp_path("sgp_stale_c.bin");
+  const std::string ledger = temp_path("sgp_stale.ledger");
+  ASSERT_EQ(run(std::string(SGP_GENERATE_BIN) +
+                " --model ba --nodes 400 --attach 4 --seed 3 --out '" + g1 +
+                "'")
+                .exit_code,
+            0);
+  {
+    std::string text = slurp(g1);
+    while (!text.empty() && text.back() == '\n') text.pop_back();
+    std::ofstream(g2, std::ios::binary)
+        << text.substr(0, text.rfind('\n') + 1);
+  }
+  const std::string flags = " --preserve-ids --dim 16 --shard-rows 100";
+  const std::string charged =
+      flags + " --ledger '" + ledger + "' --budget-epsilon 10";
+  const std::string publish_bin = SGP_PUBLISH_BIN;
+  ASSERT_EQ(run(publish_bin + " --edges '" + g1 + "' --out '" + a + "'" +
+                charged)
+                .exit_code,
+            0);
+  const CliResult killed =
+      run("SGP_FAULT_SPEC=io.shard.write:after=1:count=1 " + publish_bin +
+          " --edges '" + g2 + "' --out '" + c + "'" + flags);
+  ASSERT_NE(killed.exit_code, 0) << killed.stderr_text;
+  ASSERT_TRUE(std::filesystem::exists(c + ".ckpt"));
+  const CliResult rerun = run(publish_bin + " --edges '" + g2 + "' --out '" +
+                              c + "'" + charged);
+  ASSERT_EQ(rerun.exit_code, 0) << rerun.stderr_text;
+
+  EXPECT_EQ(ledger_records(ledger).size(), 2u);
+  const auto first = sgp::core::load_published_file(a);
+  const auto second = sgp::core::load_published_file(c);
+  ASSERT_EQ(first.data.rows(), second.data.rows());
+  const std::size_t m = first.data.cols();
+  std::size_t shared = 0;
+  for (std::size_t i = 0; i < first.data.rows(); ++i) {
+    const double* x = first.data.data().data() + i * m;
+    const double* y = second.data.data().data() + i * m;
+    if (std::equal(x, x + m, y)) ++shared;
+  }
+  EXPECT_EQ(shared, 0u) << "rows shared by two releases of neighbours";
+  for (const std::string& path : {g1, g2, a, c, ledger}) {
+    std::filesystem::remove(path);
+  }
+  std::filesystem::remove(c + ".ckpt");
+}
+
+// The path the fix keeps: a --ledger --shard-rows run that dies at a shard
+// write is finished by a rerun with the same flags, under the record it
+// already paid for, with the bytes of an uninterrupted release 1.
+TEST_F(PublishCliTest, KilledLedgerShardRunFinishesItsChargedRelease) {
+  const std::string ledger = temp_path("sgp_resume.ledger");
+  const std::string fresh_ledger = temp_path("sgp_resume_fresh.ledger");
+  const std::string reference = temp_path("sgp_resume_reference.bin");
+  const std::string flags =
+      "--shard-rows 1 --ledger '" + ledger + "' --budget-epsilon 10";
+  const CliResult killed =
+      run("SGP_FAULT_SPEC=io.shard.write:after=1:count=1 " +
+          std::string(SGP_PUBLISH_BIN) + " --edges '" + edges_ +
+          "' --out '" + release_ + "' --dim 2 --epsilon 1 " + flags);
+  ASSERT_NE(killed.exit_code, 0) << killed.stderr_text;
+  ASSERT_TRUE(std::filesystem::exists(release_ + ".ckpt"));
+  ASSERT_EQ(ledger_records(ledger).size(), 1u);
+
+  const CliResult rerun = publish(flags);
+  ASSERT_EQ(rerun.exit_code, 0) << rerun.stderr_text;
+  EXPECT_NE(rerun.stderr_text.find("(1 resumed)"), std::string::npos)
+      << rerun.stderr_text;
+  EXPECT_EQ(ledger_records(ledger).size(), 1u);
+
+  const CliResult clean =
+      run(std::string(SGP_PUBLISH_BIN) + " --edges '" + edges_ +
+          "' --out '" + reference +
+          "' --dim 2 --epsilon 1 --shard-rows 1 --ledger '" + fresh_ledger +
+          "' --budget-epsilon 10");
+  ASSERT_EQ(clean.exit_code, 0) << clean.stderr_text;
+  EXPECT_EQ(slurp(release_), slurp(reference));
+  for (const std::string& path : {ledger, fresh_ledger, reference}) {
+    std::filesystem::remove(path);
+  }
+}
+
+// The charge of a worker publish records the σ and sensitivity the
+// release header carries, and the run's report holds one ledger.charge.
+TEST_F(PublishCliTest, WorkersLedgerRecordMatchesTheHeader) {
+  const std::string ledger = temp_path("sgp_workers.ledger");
+  const std::string report = temp_path("sgp_workers_report.json");
+  const CliResult result =
+      publish("--workers 2 --ledger '" + ledger +
+              "' --budget-epsilon 10 --metrics-out '" + report + "'");
+  ASSERT_EQ(result.exit_code, 0) << result.stderr_text;
+  const auto records = ledger_records(ledger);
+  ASSERT_EQ(records.size(), 1u);
+  const auto release = sgp::core::load_published_file(release_);
+  EXPECT_EQ(records[0].epsilon, release.params.epsilon);
+  EXPECT_EQ(records[0].delta, release.params.delta);
+  EXPECT_EQ(records[0].sigma, release.calibration.sigma);
+  EXPECT_EQ(records[0].sensitivity, release.calibration.sensitivity);
+
+  const sgp::util::JsonValue doc = sgp::util::parse_json(slurp(report));
+  std::size_t charges = 0;
+  for (const sgp::util::JsonValue& event : doc.find("events")->as_array()) {
+    if (event.find("name")->as_string() == "ledger.charge") ++charges;
+  }
+  EXPECT_EQ(charges, 1u);
+  std::filesystem::remove(ledger);
+  std::filesystem::remove(report);
 }
 
 // A malformed value is a usage error too: --max-degree -1 used to crash

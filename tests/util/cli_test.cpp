@@ -111,6 +111,20 @@ TEST(CliTest, SeedRejectsSignsAndOverflow) {
   }
 }
 
+TEST(CliTest, BoundedCountRejectsValuesAboveTheBound) {
+  const auto args = make({"prog", "--threads", "1024", "--workers", "257"});
+  EXPECT_EQ(args.get_uint64("threads", 0, 1024), 1024u);
+  EXPECT_EQ(args.get_uint64("absent", 7, 1024), 7u);
+  try {
+    (void)args.get_uint64("workers", 0, 256);
+    ADD_FAILURE() << "--workers 257 passed a bound of 256";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--workers must be at most 256"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CliTest, LaterValueWins) {
   const auto args = make({"prog", "--k=1", "--k=2"});
   EXPECT_EQ(args.get_int("k", 0), 2);

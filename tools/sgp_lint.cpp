@@ -5,6 +5,9 @@
 //            [--no-baseline] [--write-baseline]
 //            [--threads N] [--cache] [--cache-path .lint-cache.json]
 //
+// --threads N (0 = one per core) is at most 1024 (util::kMaxThreads); a
+// larger count exits 2 before any thread starts.
+//
 // Exit codes extend the shared tool contract with the conventional linter
 // "findings" code:
 //
@@ -30,6 +33,7 @@
 #include "tool_common.hpp"
 #include "util/cli.hpp"
 #include "util/errors.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -76,8 +80,8 @@ int main(int argc, char** argv) {
           "--format must be 'text', 'json', or 'sarif', got '" + format +
           "'");
     }
-    options.threads =
-        static_cast<std::size_t>(args.get_uint64("threads", 0));
+    options.threads = static_cast<std::size_t>(
+        args.get_uint64("threads", 0, sgp::util::kMaxThreads));
     options.use_cache = args.get_bool("cache", false);
     if (options.use_cache) {
       options.cache_path = args.get_string(

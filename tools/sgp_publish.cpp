@@ -28,24 +28,31 @@
 // byte-identical to the other paths. Each appended shard is logged in
 // `<out>.ckpt`; rerunning the same command after a crash resumes after the
 // last logged shard (--no-resume starts over). Combined with --ledger, a
-// resumed run finishes the already-charged release instead of charging a
-// new one.
+// rerun finishes the last charged release instead of charging a new one
+// only when the shard log names that release: the same edge list, seed, m,
+// budget and shard height. A log any other run left gets a fresh charge.
+// --threads T sizes the shard loop's pool and is at most 1024
+// (util::kMaxThreads).
 //
 // With --workers N the coordinator hands the shards to N worker
 // *processes* — workers that crash, are killed, or go silent are reclaimed
 // and their shards reassigned (or computed by the coordinator as the last
 // resort), and the release is still byte-identical to every other path.
+// N is at most 256 (core::kMaxWorkers). A larger --threads or --workers
+// exits 2 before the edge list is scanned.
 // --lease-timeout bounds how long a silent worker is trusted;
 // --worker-fault-spec arms an SGP_FAULT_SPEC in worker slot 0 only (the
 // chaos hook — docs/robustness.md). The hidden --worker flag is the
 // child-process entry point and not for interactive use. Architecture and
 // shard log format: docs/scaling.md.
 //
-// With --ledger the release is charged against a crash-safe budget ledger:
-// repeated invocations against the same ledger accumulate spent (ε, δ), and
-// once the total cap (--budget-epsilon/--budget-delta) would be exceeded the
-// tool refuses with exit code 4 and publishes nothing. See
-// docs/robustness.md for the ledger format and recovery semantics.
+// With --ledger the release is charged against a crash-safe budget ledger
+// by the one write-ahead step (core::Mechanism::charge), whose record holds
+// the σ the release carries: repeated invocations against the same ledger
+// accumulate spent (ε, δ), and once the total cap (--budget-epsilon/
+// --budget-delta) would be exceeded the tool refuses with exit code 4 and
+// publishes nothing. See docs/robustness.md for the ledger format and
+// recovery semantics.
 //
 // Every flag given must take effect, or the tool exits 2 before it charges
 // the ledger or writes a file: --threads, --no-resume and --io-attempts
@@ -71,6 +78,7 @@
 #include "tool_common.hpp"
 #include "util/cli.hpp"
 #include "util/errors.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -107,8 +115,9 @@ int main(int argc, char** argv) {
                  "[--projection gaussian|achlioptas] [--seed S] "
                  "[--kernel auto|scalar|generic|avx2|avx512] "
                  "[--streaming] [--shard-rows R | --max-memory-mb MB] "
-                 "[--threads T] [--no-resume] [--io-attempts K] "
-                 "[--workers N [--lease-timeout S] [--worker-fault-spec F]] "
+                 "[--threads T<=1024] [--no-resume] [--io-attempts K] "
+                 "[--workers N<=256 [--lease-timeout S] "
+                 "[--worker-fault-spec F]] "
                  "[--ledger budget.ledger "
                  "--budget-epsilon E --budget-delta D] "
                  "[--metrics-out metrics.json] [--trace]\n",
@@ -153,8 +162,8 @@ int main(int argc, char** argv) {
 
     const std::size_t shard_rows_flag = mode_count(args, "shard-rows");
     const std::size_t max_memory_mb = mode_count(args, "max-memory-mb");
-    const auto workers_flag =
-        static_cast<std::size_t>(args.get_uint64("workers", 0));
+    const auto workers_flag = static_cast<std::size_t>(
+        args.get_uint64("workers", 0, sgp::core::kMaxWorkers));
     // Zero workers is the in-process coordinator, which needs a shard height.
     if (workers_flag == 0 && args.has("workers") && shard_rows_flag == 0 &&
         max_memory_mb == 0) {
@@ -167,8 +176,8 @@ int main(int argc, char** argv) {
       // one row shard at a time, computing it itself or handing it to a
       // worker process under --workers.
       sgp::core::DistributedPublishOptions dopt;
-      dopt.sharded.threads =
-          static_cast<std::size_t>(args.get_uint64("threads", 0));
+      dopt.sharded.threads = static_cast<std::size_t>(
+          args.get_uint64("threads", 0, sgp::util::kMaxThreads));
       dopt.sharded.resume = !args.get_bool("no-resume", false);
       // Worker runs default to riding out transient shard-IO failures; the
       // single-process path stays fail-fast unless asked.
@@ -213,19 +222,22 @@ int main(int argc, char** argv) {
                    (4 * workers_flag));
       }
 
-      // A leftover shard log means the last charged release never
-      // finished: finish it under its original (already-paid) options
-      // instead of charging the budget a second time.
+      // A shard log that names the last charged release means that
+      // release never finished: finish it under its original (already-paid)
+      // options instead of charging the budget a second time. Any other
+      // log is no proof of payment, so the release is charged.
       dopt.sharded.publish = opt;
       std::optional<sgp::core::PublishingSession> session;
       if (!ledger_path.empty()) {
-        const bool unfinished = std::filesystem::exists(out_path + ".ckpt");
         session.emplace(sopt, ledger_path);
-        const bool finish_last =
-            dopt.sharded.resume && session->num_releases() > 0 && unfinished;
-        dopt.sharded.publish =
-            finish_last ? session->release_options(session->num_releases())
-                        : session->begin_release();
+        const std::size_t last = session->num_releases();
+        bool finish_last = false;
+        if (dopt.sharded.resume && last > 0) {
+          dopt.sharded.publish = session->release_options(last);
+          finish_last =
+              sgp::core::shard_log_matches(reader, dopt.sharded, out_path);
+        }
+        if (!finish_last) dopt.sharded.publish = session->begin_release();
       }
 
       const auto result =
